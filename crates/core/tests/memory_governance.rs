@@ -86,6 +86,29 @@ fn over_budget_queries_spill_and_still_answer_exactly() {
     assert_eq!(server.memory_pool().used(), 0);
 }
 
+#[test]
+fn skewed_spills_hold_kernel_state_not_partition_rows() {
+    // Every row has the same group key, the same value or the same probe
+    // key, so one spill partition receives the whole input (the join's
+    // whole probe side). A 128 KiB per-query cap is far below the input,
+    // so the operators spill, but above the state the kernels keep: one
+    // group, one distinct row, one partition of the 5000-row build side.
+    let (server, session) = server_with_rows(20_000);
+    let capped =
+        server.session_with_options(SessionOptions::default().with_memory_budget(128 << 10));
+    for sql in [
+        "SELECT x * 0, count(*), sum(y) FROM big GROUP BY x * 0",
+        "SELECT DISTINCT x * 0 FROM big",
+        "SELECT count(*) FROM (SELECT y FROM big WHERE y < 5000) b1 \
+         JOIN big b2 ON b1.y = b2.x * 0",
+    ] {
+        let unconstrained = session.query(sql).unwrap();
+        let spilled = capped.query(sql).unwrap_or_else(|e| panic!("{sql}: {e}"));
+        assert_eq!(spilled, unconstrained, "{sql}");
+    }
+    assert_eq!(server.memory_pool().used(), 0);
+}
+
 // ----------------------------------------------------------------------
 // Typed resource errors
 // ----------------------------------------------------------------------

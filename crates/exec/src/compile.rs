@@ -37,7 +37,7 @@ use perm_types::{DataType, PermError, Result, Tuple, Value};
 
 use perm_algebra::expr::{BinOp, ScalarExpr, ScalarFunc, UnOp};
 
-use crate::eval::{eval, eval_scalar_fn, in_semantics, Env};
+use crate::eval::{eval, eval_scalar_fn, in_semantics, negate_if, Env};
 use crate::executor::Executor;
 
 /// A compiled scalar expression. Build one per operator with
@@ -278,23 +278,9 @@ impl CompiledExpr {
     fn eval_cow<'a>(&'a self, exec: &Executor, env: &Env<'a>) -> Result<Cow<'a, Value>> {
         match self {
             CompiledExpr::Const(v) => Ok(Cow::Borrowed(v)),
-            CompiledExpr::Slot(i) => {
-                if *i >= env.tuple.len() {
-                    return Err(PermError::Execution(format!(
-                        "column position {i} out of range for tuple of width {}",
-                        env.tuple.len()
-                    )));
-                }
-                Ok(Cow::Borrowed(env.tuple.get(*i)))
-            }
+            CompiledExpr::Slot(i) => env.column(*i).map(Cow::Borrowed),
             CompiledExpr::Outer { levels_up, index } => {
-                let k = env.outer.len().checked_sub(*levels_up).ok_or_else(|| {
-                    PermError::Execution(format!(
-                        "outer reference {levels_up} levels up with only {} scopes",
-                        env.outer.len()
-                    ))
-                })?;
-                Ok(Cow::Borrowed(env.outer[k].get(*index)))
+                env.outer_column(*levels_up, *index).map(Cow::Borrowed)
             }
             other => other.eval(exec, env).map(Cow::Owned),
         }
@@ -372,11 +358,7 @@ impl CompiledExpr {
                         )))
                     }
                 };
-                if *negated {
-                    ops::not(&m)
-                } else {
-                    Ok(m)
-                }
+                negate_if(*negated, m)
             }
             CompiledExpr::Like {
                 expr,
@@ -386,11 +368,7 @@ impl CompiledExpr {
                 let v = expr.eval_cow(exec, env)?;
                 let p = pattern.eval_cow(exec, env)?;
                 let m = ops::like(&v, &p)?;
-                if *negated {
-                    ops::not(&m)
-                } else {
-                    Ok(m)
-                }
+                negate_if(*negated, m)
             }
             CompiledExpr::InHashed {
                 expr,
@@ -401,11 +379,7 @@ impl CompiledExpr {
             } => {
                 let needle = expr.eval_cow(exec, env)?;
                 let r = hashed_in(&needle, set, *has_null, representative)?;
-                if *negated {
-                    ops::not(&r)
-                } else {
-                    Ok(r)
-                }
+                negate_if(*negated, r)
             }
             CompiledExpr::InList {
                 expr,
@@ -418,11 +392,7 @@ impl CompiledExpr {
                     values.push(item.eval_cow(exec, env)?);
                 }
                 let r = in_semantics(&needle, values.iter().map(|c| &**c))?;
-                if *negated {
-                    ops::not(&r)
-                } else {
-                    Ok(r)
-                }
+                negate_if(*negated, r)
             }
             CompiledExpr::Case {
                 operand,

@@ -26,29 +26,48 @@ impl<'a> Env<'a> {
     pub fn new(tuple: &'a Tuple, outer: &'a [Tuple]) -> Env<'a> {
         Env { tuple, outer }
     }
+
+    /// Slot `i` of the current tuple.
+    #[inline]
+    pub(crate) fn column(&self, i: usize) -> Result<&'a Value> {
+        if i >= self.tuple.len() {
+            return Err(PermError::Execution(format!(
+                "column position {i} out of range for tuple of width {}",
+                self.tuple.len()
+            )));
+        }
+        Ok(self.tuple.get(i))
+    }
+
+    /// Slot `index` of the tuple `levels_up` scopes out.
+    #[inline]
+    pub(crate) fn outer_column(&self, levels_up: usize, index: usize) -> Result<&'a Value> {
+        let k = self.outer.len().checked_sub(levels_up).ok_or_else(|| {
+            PermError::Execution(format!(
+                "outer reference {levels_up} levels up with only {} scopes",
+                self.outer.len()
+            ))
+        })?;
+        Ok(self.outer[k].get(index))
+    }
+}
+
+/// `v`, logically negated when `negated` (`NOT LIKE`, `NOT IN`, ...).
+pub(crate) fn negate_if(negated: bool, v: Value) -> Result<Value> {
+    if negated {
+        ops::not(&v)
+    } else {
+        Ok(v)
+    }
 }
 
 /// Evaluate `e` in `env`, executing sublinks through `exec`.
 pub fn eval(exec: &Executor, e: &ScalarExpr, env: &Env<'_>) -> Result<Value> {
     match e {
         ScalarExpr::Literal(v) => Ok(v.clone()),
-        ScalarExpr::Column(i) => {
-            if *i >= env.tuple.len() {
-                return Err(PermError::Execution(format!(
-                    "column position {i} out of range for tuple of width {}",
-                    env.tuple.len()
-                )));
-            }
-            Ok(env.tuple.get(*i).clone())
-        }
+        ScalarExpr::Column(i) => env.column(*i).cloned(),
         ScalarExpr::OuterColumn { levels_up, index } => {
-            let k = env.outer.len().checked_sub(*levels_up).ok_or_else(|| {
-                PermError::Execution(format!(
-                    "outer reference {levels_up} levels up with only {} scopes",
-                    env.outer.len()
-                ))
-            })?;
-            Ok(env.outer[k].get(*index).clone())
+            env.outer_column(*levels_up, *index).cloned()
         }
         ScalarExpr::Binary { op, left, right } => eval_binary(exec, *op, left, right, env),
         ScalarExpr::Unary { op, expr } => {
@@ -70,11 +89,7 @@ pub fn eval(exec: &Executor, e: &ScalarExpr, env: &Env<'_>) -> Result<Value> {
             let v = eval(exec, expr, env)?;
             let p = eval(exec, pattern, env)?;
             let m = ops::like(&v, &p)?;
-            if *negated {
-                ops::not(&m)
-            } else {
-                Ok(m)
-            }
+            negate_if(*negated, m)
         }
         ScalarExpr::InList {
             expr,
@@ -87,11 +102,7 @@ pub fn eval(exec: &Executor, e: &ScalarExpr, env: &Env<'_>) -> Result<Value> {
                 values.push(eval(exec, item, env)?);
             }
             let r = in_semantics(&needle, values.iter())?;
-            if *negated {
-                ops::not(&r)
-            } else {
-                Ok(r)
-            }
+            negate_if(*negated, r)
         }
         ScalarExpr::Case {
             operand,
@@ -214,7 +225,7 @@ fn eval_subquery(exec: &Executor, sq: &SubqueryExpr, env: &Env<'_>) -> Result<Va
         } else {
             Value::Bool(false)
         };
-        return if sq.negated { ops::not(&r) } else { Ok(r) };
+        return negate_if(sq.negated, r);
     }
     // Correlated subplans see the current tuple as their innermost outer
     // scope; uncorrelated ones are executed once and cached.
@@ -239,11 +250,7 @@ fn eval_subquery(exec: &Executor, sq: &SubqueryExpr, env: &Env<'_>) -> Result<Va
             let operand = sq.operand.as_deref().expect("IN has operand");
             let needle = eval(exec, operand, env)?;
             let r = in_semantics(&needle, rows.iter().map(|t| t.get(0)))?;
-            if sq.negated {
-                ops::not(&r)
-            } else {
-                Ok(r)
-            }
+            negate_if(sq.negated, r)
         }
     }
 }

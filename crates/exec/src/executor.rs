@@ -9,9 +9,9 @@
 //! plan once per executor (cached by plan identity) and executes the
 //! result.
 //!
-//! Join and set-operation implementations live in [`crate::operators`];
-//! this module provides the dispatch loop, scans, filters, projections,
-//! sorting, limits and the subquery result cache.
+//! Joins, set operations, DISTINCT, aggregation and sorting live in
+//! [`crate::operators`]; this module provides the dispatch loop, scans,
+//! filters, projections, limits and the subquery result cache.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -27,7 +27,7 @@ use perm_storage::Catalog;
 use crate::compile::{CompiledExpr, CompiledProjection};
 use crate::eval::{eval, Env};
 use crate::kernels::{BatchPredicate, BatchScan, VecKeys, BATCH_ROWS};
-use crate::memory::{grow_batched, QueryMemory};
+use crate::memory::QueryMemory;
 use crate::operators::{aggregate, join, setop, spill};
 use crate::physical::{PhysicalPlan, PhysicalPlanner};
 
@@ -414,40 +414,7 @@ impl Executor {
                 spill,
             } => aggregate::run_aggregate(self, input, group_by, aggs, *dop, *spill),
             PhysicalPlan::HashDistinct { input, dop, spill } => {
-                let rows = self.run_physical(input)?;
-                // The dedup set holds (at worst) every input row: charge
-                // input bytes; a denial switches to the partitioned
-                // on-disk dedup, which holds one partition at a time.
-                let reservation = self.memory.register("HashDistinct");
-                if let Err(denied) = grow_batched(&reservation, rows.iter().map(Tuple::size_bytes))
-                {
-                    reservation.free();
-                    let Some(parts) = spill else {
-                        return Err(denied.into_error());
-                    };
-                    return spill::distinct_spill(&self.context, rows, *parts, &reservation);
-                }
-                if *dop > 1 {
-                    return crate::parallel::distinct_parallel(&self.context, rows, *dop);
-                }
-                let mut seen = set_with_capacity(rows.len());
-                let mut out = Vec::new();
-                for (i, t) in rows.into_iter().enumerate() {
-                    // Masked cancellation check per 4096 rows.
-                    if i % 4096 == 0 {
-                        self.check_cancelled()?;
-                    }
-                    // Membership first: DISTINCT inputs are duplicate-heavy
-                    // (that is what the operator is for), and a duplicate
-                    // then costs one probe and no clone. Contrast with
-                    // UNION in setop.rs, whose mostly-distinct inputs make
-                    // the single-probe insert the better trade there.
-                    if !seen.contains(&t) {
-                        seen.insert(t.clone());
-                        out.push(t);
-                    }
-                }
-                Ok(out)
+                setop::run_distinct(self, input, *dop, *spill)
             }
             PhysicalPlan::HashSetOp {
                 op,
@@ -463,41 +430,7 @@ impl Executor {
                 dop,
                 spill,
                 batch,
-            } => {
-                let rows = self.run_physical(input)?;
-                // The sort buffer holds every input row plus its
-                // computed keys: charge input bytes; a denial switches
-                // to the external run-sort + k-way merge.
-                let reservation = self.memory.register("Sort");
-                if let Err(denied) = grow_batched(&reservation, rows.iter().map(Tuple::size_bytes))
-                {
-                    reservation.free();
-                    let Some(parts) = spill else {
-                        return Err(denied.into_error());
-                    };
-                    return spill::sort_spill(self, rows, keys, *parts, &reservation);
-                }
-                if *dop > 1 {
-                    return crate::parallel::sort_parallel(
-                        self,
-                        rows,
-                        keys,
-                        *dop,
-                        batch.is_batch(),
-                    );
-                }
-                let outer = self.outer_stack();
-                let compiled: Vec<CompiledExpr> = keys
-                    .iter()
-                    .map(|k| CompiledExpr::compile(self, &k.expr))
-                    .collect();
-                // Precompute sort keys (batched when columnar), then
-                // sort stably.
-                let key_rows = self.compute_keys(&rows, &compiled, &outer, batch.is_batch())?;
-                let mut keyed: Vec<(Vec<Value>, Tuple)> = key_rows.into_iter().zip(rows).collect();
-                keyed.sort_by(|(a, _), (b, _)| crate::parallel::cmp_keys(a, b, keys));
-                Ok(keyed.into_iter().map(|(_, t)| t).collect())
-            }
+            } => spill::run_sort(self, input, keys, *dop, *spill, batch.is_batch()),
             PhysicalPlan::Limit {
                 input,
                 limit,
@@ -635,8 +568,8 @@ impl Executor {
 
     /// Evaluate `compiled` (sort keys) for every row, one key row per
     /// input row in input order — batched through [`VecKeys`] when
-    /// columnar, with the interpreter as the per-batch fallback. Shared
-    /// by the serial sort and the parallel chunk sort.
+    /// columnar, with the interpreter as the per-batch fallback. Every
+    /// sort path keys its rows here.
     pub(crate) fn compute_keys(
         &self,
         rows: &[Tuple],

@@ -39,7 +39,7 @@ use perm_types::{PermError, Result, Tuple, Value};
 use perm_algebra::expr::{BinOp, ScalarFunc, UnOp};
 
 use crate::compile::{hashed_in, CompiledExpr, CompiledProjection};
-use crate::eval::in_semantics;
+use crate::eval::{in_semantics, negate_if};
 
 /// Rows per batch; re-exported from the shared columnar type layer.
 pub use perm_types::batch::DEFAULT_BATCH_ROWS as BATCH_ROWS;
@@ -365,11 +365,7 @@ impl VecExpr {
                                 )))
                             }
                         };
-                        if *negated {
-                            ops::not(&m)
-                        } else {
-                            Ok(m)
-                        }
+                        negate_if(*negated, m)
                     }),
                 }
             }
@@ -382,11 +378,7 @@ impl VecExpr {
                 let p = pattern.eval(cx, sel)?;
                 lanewise2(&v, &p, sel, n, |v, p| {
                     let m = ops::like(v, p)?;
-                    if *negated {
-                        ops::not(&m)
-                    } else {
-                        Ok(m)
-                    }
+                    negate_if(*negated, m)
                 })
             }
             VecExpr::InHashed {
@@ -399,11 +391,7 @@ impl VecExpr {
                 let c = expr.eval(cx, sel)?;
                 lanewise1(&c, sel, n, |v| {
                     let r = hashed_in(v, set, *has_null, representative)?;
-                    if *negated {
-                        ops::not(&r)
-                    } else {
-                        Ok(r)
-                    }
+                    negate_if(*negated, r)
                 })
             }
             VecExpr::InList {
@@ -426,7 +414,7 @@ impl VecExpr {
                         cands.push(item.get(i));
                     }
                     let r = in_semantics(&needle.get(i), cands.iter())?;
-                    out[i] = if *negated { ops::not(&r)? } else { r };
+                    out[i] = negate_if(*negated, r)?;
                 });
                 Ok(Arc::new(ColumnVec::Vals(out)))
             }

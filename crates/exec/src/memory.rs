@@ -159,6 +159,8 @@ struct QueryInner {
     cap: usize,
     used: AtomicUsize,
     peak: AtomicUsize,
+    /// Spill files this query's operators hold on disk right now.
+    spill_files: AtomicUsize,
 }
 
 /// One query's view of the memory pool: the shared pool handle plus an
@@ -185,8 +187,16 @@ impl QueryMemory {
                 cap: cap.unwrap_or(UNBOUNDED),
                 used: AtomicUsize::new(0),
                 peak: AtomicUsize::new(0),
+                spill_files: AtomicUsize::new(0),
             }),
         }
+    }
+
+    /// Spill files this query's operators currently hold on disk. Every
+    /// spill file is deleted when its handle drops — error and
+    /// cancellation paths included — so this is 0 once the query is done.
+    pub fn spill_files(&self) -> usize {
+        self.inner.spill_files.load(Ordering::Relaxed)
     }
 
     /// The per-query cap, or `None` when unbounded.
@@ -361,6 +371,14 @@ impl MemoryReservation {
         }
     }
 
+    /// Count one spill file against this reservation's query until the
+    /// returned guard drops (see [`QueryMemory::spill_files`]).
+    pub(crate) fn track_spill_file(&self) -> SpillFileGuard {
+        let query = Arc::clone(&self.inner.query);
+        query.spill_files.fetch_add(1, Ordering::Relaxed);
+        SpillFileGuard { query }
+    }
+
     /// Release everything this reservation holds (also done on drop).
     pub fn free(&self) {
         let pooled = self.inner.pooled.swap(0, Ordering::Relaxed);
@@ -387,30 +405,40 @@ impl Drop for ReservationInner {
     }
 }
 
+/// One live spill file of a query: held next to the file's handle and
+/// dropped with it.
+#[derive(Debug)]
+pub(crate) struct SpillFileGuard {
+    query: Arc<QueryInner>,
+}
+
+impl Drop for SpillFileGuard {
+    fn drop(&mut self) {
+        self.query.spill_files.fetch_sub(1, Ordering::Relaxed);
+    }
+}
+
 /// Grow `reservation` in batches while iterating `sizes`, so buffering
 /// operators charge as they go rather than all-or-nothing. Returns the
-/// total bytes charged, or the first denial (everything charged so far
-/// stays on the reservation — callers free it when switching to spill).
+/// first denial (everything charged so far stays on the reservation —
+/// callers free it when switching to spill).
 pub(crate) fn grow_batched(
     reservation: &MemoryReservation,
     sizes: impl Iterator<Item = usize>,
-) -> std::result::Result<usize, MemoryDenied> {
+) -> std::result::Result<(), MemoryDenied> {
     const BATCH: usize = 64 * 1024;
     let mut pending = 0usize;
-    let mut total = 0usize;
     for s in sizes {
         pending += s;
         if pending >= BATCH {
             reservation.try_grow(pending)?;
-            total += pending;
             pending = 0;
         }
     }
     if pending > 0 {
         reservation.try_grow(pending)?;
-        total += pending;
     }
-    Ok(total)
+    Ok(())
 }
 
 #[cfg(test)]

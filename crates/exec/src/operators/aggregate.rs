@@ -1,17 +1,22 @@
 //! Hash aggregation with SQL NULL semantics, `DISTINCT` aggregates and the
 //! `any_value` leniency aggregate.
 
-use perm_storage::SpillPartitions;
+use std::borrow::Borrow;
+use std::sync::Arc;
+
 use perm_types::hash::{FxHashMap, FxHashSet};
-use perm_types::ops::{self, ArithOp};
+use perm_types::ops;
 use perm_types::{PermError, Result, Tuple, Value};
 
 use perm_algebra::expr::{AggCall, AggFunc, ScalarExpr};
 
+use super::partition::{partition_of, place, Parts, Placement, Retained, Spilled, TaggedError};
 use crate::compile::{CompiledExpr, CompiledProjection};
 use crate::eval::Env;
 use crate::executor::Executor;
-use crate::memory::{grow_batched, MemoryDenied, MemoryReservation};
+use crate::memory::MemoryReservation;
+use crate::parallel::map_chunks;
+use crate::physical::PhysicalPlan;
 
 /// Running state of one aggregate within one group.
 enum AggState {
@@ -162,6 +167,15 @@ impl AggState {
     /// sums re-associate (partial sums add once per chunk instead of
     /// once per row), the standard parallel-aggregation trade.
     fn merge(&mut self, other: AggState) -> Result<()> {
+        match other {
+            // A later chunk's running best (or first value) is one more
+            // input to this state.
+            AggState::MinMax { best: Some(x), .. } | AggState::AnyValue(Some(x)) => {
+                return self.update(Some(&x))
+            }
+            AggState::MinMax { best: None, .. } | AggState::AnyValue(None) => return Ok(()),
+            _ => {}
+        }
         match (self, other) {
             (AggState::Count(a), AggState::Count(b)) => *a += b,
             (
@@ -200,30 +214,6 @@ impl AggState {
                             *int_total = 0;
                         }
                     }
-                }
-            }
-            (AggState::MinMax { best, is_min }, AggState::MinMax { best: ob, .. }) => {
-                if let Some(x) = ob {
-                    match best {
-                        None => *best = Some(x),
-                        Some(b) => {
-                            if let Some(ord) = ops::sql_compare(&x, b)? {
-                                let better = if *is_min {
-                                    ord == std::cmp::Ordering::Less
-                                } else {
-                                    ord == std::cmp::Ordering::Greater
-                                };
-                                if better {
-                                    *best = Some(x);
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-            (AggState::AnyValue(slot), AggState::AnyValue(ob)) => {
-                if slot.is_none() {
-                    *slot = ob;
                 }
             }
             _ => unreachable!("merging mismatched aggregate states"),
@@ -321,22 +311,40 @@ impl KeyPlan {
     }
 }
 
-/// Partial aggregation state over one contiguous input range: group keys
-/// in first-appearance order plus their accumulators.
+/// Partial aggregation state over part of the input: group keys in
+/// first-appearance order, each with the tag of its first row, plus
+/// their accumulators.
+#[derive(Default)]
 struct AggPartial {
-    order: Vec<GroupKey>,
+    order: Vec<(u64, GroupKey)>,
     groups: FxHashMap<GroupKey, GroupState>,
 }
 
-/// Accumulate `rows` into a fresh partial (the serial hot loop, shared
-/// by the serial path and every parallel worker).
-fn accumulate(
+impl GroupKey {
+    /// The bytes a group holds: its key plus its accumulators.
+    fn state_bytes(&self, aggs: &[AggCall]) -> usize {
+        let key = match self {
+            GroupKey::One(v) => v.size_bytes(),
+            GroupKey::Many(t) => t.size_bytes(),
+        };
+        key + 32 * aggs.len().max(1)
+    }
+}
+
+/// The aggregation kernel: accumulate `(tag, row)` pairs, in tag order,
+/// into a fresh partial, charging each new group's state to `mem`.
+/// Shared by the serial path, every parallel chunk worker and every
+/// spilled partition. A row's evaluation error comes back tagged with its
+/// row (rows after it are not accumulated); an `Err` is a read,
+/// cancellation or memory-cap failure.
+fn accumulate<T: Borrow<Tuple>>(
     exec: &Executor,
-    rows: &[Tuple],
+    rows: impl Iterator<Item = Result<(u64, T)>>,
     group_by: &[ScalarExpr],
     aggs: &[AggCall],
     outer: &[Tuple],
-) -> Result<AggPartial> {
+    mem: &mut Retained<'_>,
+) -> Result<std::result::Result<AggPartial, TaggedError>> {
     // Group-by keys and aggregate arguments are compiled once, evaluated
     // per row (plain-column group keys build by direct slot copy).
     let group_c = KeyPlan::compile(exec, group_by);
@@ -347,40 +355,57 @@ fn accumulate(
 
     // Group order: first appearance (deterministic output for tests; final
     // ordering comes from ORDER BY anyway).
-    let mut order: Vec<GroupKey> = Vec::new();
-    let mut groups: FxHashMap<GroupKey, GroupState> = FxHashMap::default();
-
-    for (ri, t) in rows.iter().enumerate() {
+    let mut partial = AggPartial::default();
+    for (ri, rec) in rows.enumerate() {
         // Masked cancellation check per 4096 accumulated rows.
         if ri % 4096 == 0 {
             exec.check_cancelled()?;
         }
-        let env = Env::new(t, outer);
-        let key = group_c.apply(exec, &env)?;
+        let (tag, t) = rec?;
+        let env = Env::new(t.borrow(), outer);
+        let key = match group_c.apply(exec, &env) {
+            Ok(key) => key,
+            Err(e) => return Ok(Err((tag, e))),
+        };
         // One hash per row: the entry API probes once, and only a *new*
         // group clones its key (a refcount bump) into the order list.
-        let state = match groups.entry(key) {
+        let state = match partial.groups.entry(key) {
             std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
             std::collections::hash_map::Entry::Vacant(v) => {
-                order.push(v.key().clone());
+                mem.keep(|| v.key().state_bytes(aggs))?;
+                partial.order.push((tag, v.key().clone()));
                 v.insert(GroupState::new(aggs))
             }
         };
-        // no-cancel: bounded by the aggregate-call count.
-        for (i, arg_expr) in arg_c.iter().enumerate() {
-            let arg = match arg_expr {
-                Some(e) => Some(e.eval(exec, &env)?),
-                None => None,
-            };
-            if let (Some(seen), Some(v)) = (&mut state.distinct_seen[i], &arg) {
-                if v.is_null() || !seen.insert(v.clone()) {
-                    continue; // duplicate (or NULL) under DISTINCT
-                }
-            }
-            state.states[i].update(arg.as_ref())?;
+        if let Err(e) = update(exec, state, &arg_c, &env) {
+            return Ok(Err((tag, e)));
         }
     }
-    Ok(AggPartial { order, groups })
+    Ok(Ok(partial))
+}
+
+/// Feed one row's aggregate arguments to its group's accumulators.
+#[inline]
+fn update(
+    exec: &Executor,
+    state: &mut GroupState,
+    arg_c: &[Option<CompiledExpr>],
+    env: &Env<'_>,
+) -> Result<()> {
+    // no-cancel: bounded by the aggregate-call count.
+    for (i, arg_expr) in arg_c.iter().enumerate() {
+        let arg = match arg_expr {
+            Some(e) => Some(e.eval(exec, env)?),
+            None => None,
+        };
+        if let (Some(seen), Some(v)) = (&mut state.distinct_seen[i], &arg) {
+            if v.is_null() || !seen.insert(v.clone()) {
+                continue; // duplicate (or NULL) under DISTINCT
+            }
+        }
+        state.states[i].update(arg.as_ref())?;
+    }
+    Ok(())
 }
 
 /// Fold `later` (a strictly later contiguous chunk) into `into`. New
@@ -389,7 +414,7 @@ fn accumulate(
 fn merge_partials(into: &mut AggPartial, later: AggPartial) -> Result<()> {
     let AggPartial { order, mut groups } = later;
     // no-cancel: merge of already-computed partial states.
-    for key in order {
+    for (tag, key) in order {
         // INVARIANT: `order` holds exactly the keys of `groups`.
         let state = groups.remove(&key).expect("group registered");
         match into.groups.entry(key) {
@@ -405,7 +430,7 @@ fn merge_partials(into: &mut AggPartial, later: AggPartial) -> Result<()> {
                 }
             }
             std::collections::hash_map::Entry::Vacant(v) => {
-                into.order.push(v.key().clone());
+                into.order.push((tag, v.key().clone()));
                 v.insert(state);
             }
         }
@@ -413,17 +438,22 @@ fn merge_partials(into: &mut AggPartial, later: AggPartial) -> Result<()> {
     Ok(())
 }
 
-/// Turn the final partial into output rows.
-fn finish(mut partial: AggPartial, group_by: &[ScalarExpr], aggs: &[AggCall]) -> Vec<Tuple> {
+/// Turn a partial into output rows, emitted in group order with each
+/// group's first tag.
+fn finish(
+    mut partial: AggPartial,
+    group_by: &[ScalarExpr],
+    aggs: &[AggCall],
+    mut emit: impl FnMut(u64, Tuple),
+) {
     // A global aggregate over an empty input still yields one row.
     if group_by.is_empty() && partial.order.is_empty() {
         let empty_key = GroupKey::Many(Tuple::empty());
-        partial.order.push(empty_key.clone());
+        partial.order.push((0, empty_key.clone()));
         partial.groups.insert(empty_key, GroupState::new(aggs));
     }
-    let mut out = Vec::with_capacity(partial.order.len());
     // no-cancel: output assembly from already-computed group states.
-    for key in partial.order {
+    for (tag, key) in partial.order {
         // INVARIANT: `order` holds exactly the keys of `groups`.
         let state = partial.groups.remove(&key).expect("group registered");
         let mut vals = match key {
@@ -438,120 +468,85 @@ fn finish(mut partial: AggPartial, group_by: &[ScalarExpr], aggs: &[AggCall]) ->
         for s in state.states {
             vals.push(s.finish());
         }
-        out.push(Tuple::new(vals));
+        emit(tag, Tuple::new(vals));
     }
-    out
 }
 
 pub fn run_aggregate(
     exec: &Executor,
-    input: &crate::physical::PhysicalPlan,
+    input: &PhysicalPlan,
     group_by: &[ScalarExpr],
     aggs: &[AggCall],
     dop: usize,
     spill: Option<usize>,
 ) -> Result<Vec<Tuple>> {
-    let mut rows = exec.run_physical(input)?;
+    let rows = exec.run_physical(input)?;
     let outer = exec.outer_stack();
 
     // Global aggregates keep O(1) state regardless of input size:
     // nothing to charge, nothing to spill. Grouped aggregation charges
     // the input bytes — the hash table's keys and states are bounded by
     // them — and a denial switches to the partitioned on-disk path.
-    let charge = !group_by.is_empty();
-    let reservation = exec.memory().register("HashAggregate");
-
-    if dop > 1 {
-        // Chunk-parallel: each worker accumulates one contiguous chunk
-        // into a private hash table; partials merge in chunk order. The
-        // workers share one reservation (clones share accounting), so
-        // concurrent chunks charge the same query budget.
-        use std::sync::Arc;
-        let catalog = exec.catalog_arc();
-        let rows_arc = Arc::new(rows);
-        let total = rows_arc.len();
-        let group_by_owned: Arc<Vec<ScalarExpr>> = Arc::new(group_by.to_vec());
-        let aggs_owned: Arc<Vec<AggCall>> = Arc::new(aggs.to_vec());
-        let ctx = exec.context().clone();
-        let partials = {
-            let rows = Arc::clone(&rows_arc);
-            let outer = outer.clone();
-            let shared = reservation.clone();
-            let sub_ctx = ctx.clone();
-            crate::parallel::map_chunks(&ctx, dop, total, move |range| {
-                if charge {
-                    grow_batched(&shared, rows[range.clone()].iter().map(Tuple::size_bytes))
-                        .map_err(MemoryDenied::into_error)?;
-                }
-                let sub = Executor::new(Arc::clone(&catalog)).with_context(sub_ctx.clone());
-                accumulate(&sub, &rows[range], &group_by_owned, &aggs_owned, &outer)
-            })
-        };
-        // The worker closures hold reservation clones and are dropped
-        // *asynchronously* by the pool threads, so every exit from this
-        // branch frees the shared accounting explicitly — relying on the
-        // last clone's Drop would leave the pool charged for a moment
-        // after the query returns.
-        match partials {
-            Ok(partials) => {
-                let mut iter = partials.into_iter();
-                let mut acc = iter.next().unwrap_or_else(|| AggPartial {
-                    order: Vec::new(),
-                    groups: FxHashMap::default(),
-                });
-                let mut merged = Ok(());
-                // no-cancel: merge of already-computed partials, bounded
-                // by dop.
-                for p in iter {
-                    if let Err(e) = merge_partials(&mut acc, p) {
-                        merged = Err(e);
-                        break;
-                    }
-                }
-                reservation.free();
-                merged?;
-                return Ok(finish(acc, group_by, aggs));
-            }
-            // A denied worker reservation falls back to the serial spill
-            // path — legal because parallel aggregation is exactly
-            // equivalent to serial. Parallel aggregates are sublink-free
-            // (the legality rules keep sublink pipelines serial), so a
-            // "resource" error here can only be our own denial.
-            Err(e) if e.kind() == "resource" && spill.is_some() => {
-                reservation.free();
-                rows = Arc::try_unwrap(rows_arc).unwrap_or_else(|a| (*a).clone());
-                // INVARIANT: the guard above checked `spill.is_some()`.
-                let parts = spill.expect("guard checked is_some");
-                let result =
-                    aggregate_spill(exec, rows, group_by, aggs, &outer, parts, &reservation);
-                reservation.free();
-                return result;
-            }
-            Err(e) => {
-                reservation.free();
-                return Err(e);
-            }
+    let charged = if group_by.is_empty() {
+        &[][..]
+    } else {
+        &rows[..]
+    };
+    let res = exec.memory().register("HashAggregate");
+    let partial = match place(&res, charged.iter().map(Tuple::size_bytes), dop, spill)? {
+        Placement::Serial => {
+            let rows = (0..).zip(&rows).map(Ok);
+            accumulate(exec, rows, group_by, aggs, &outer, &mut Retained::default())?
+                .map_err(|(_, e)| e)?
         }
-    }
-
-    if charge {
-        if let Err(denied) = grow_batched(&reservation, rows.iter().map(Tuple::size_bytes)) {
-            reservation.free();
-            let Some(parts) = spill else {
-                return Err(denied.into_error());
-            };
-            return aggregate_spill(exec, rows, group_by, aggs, &outer, parts, &reservation);
+        Placement::Parts(Parts::Workers(n)) => {
+            // Chunk-parallel: each worker accumulates one contiguous
+            // chunk into a private hash table; partials merge in chunk
+            // order.
+            let catalog = exec.catalog_arc();
+            let total = rows.len();
+            let rows = Arc::new(rows);
+            let owned: Arc<(Vec<ScalarExpr>, Vec<AggCall>)> =
+                Arc::new((group_by.to_vec(), aggs.to_vec()));
+            let ctx = exec.context().clone();
+            let partials = map_chunks(exec.context(), n, total, move |range| {
+                let sub = Executor::new(Arc::clone(&catalog)).with_context(ctx.clone());
+                let tagged = (range.start as u64..).zip(&rows[range]).map(Ok);
+                let (group_by, aggs) = (&owned.0, &owned.1);
+                accumulate(
+                    &sub,
+                    tagged,
+                    group_by,
+                    aggs,
+                    &outer,
+                    &mut Retained::default(),
+                )?
+                .map_err(|(_, e)| e)
+            })?;
+            let mut partials = partials.into_iter();
+            let mut acc = partials.next().unwrap_or_default();
+            // no-cancel: merge of already-computed partials, bounded by
+            // dop.
+            for p in partials {
+                merge_partials(&mut acc, p)?;
+            }
+            acc
         }
-    }
-    let partial = accumulate(exec, &rows, group_by, aggs, &outer)?;
-    Ok(finish(partial, group_by, aggs))
+        Placement::Parts(Parts::Spill(parts, res)) => {
+            return aggregate_spill(exec, rows, group_by, aggs, &outer, parts, res)
+        }
+    };
+    let mut out = Vec::with_capacity(partial.order.len().max(1));
+    finish(partial, group_by, aggs, |_, t| out.push(t));
+    Ok(out)
 }
 
 /// Spilled grouped aggregation: input rows scatter to partition files by
-/// group-key hash, tagged with their input position. Each partition then
-/// runs the serial accumulate loop in tag order, remembering every
-/// group's *first* tag; sorting the finished groups by that tag restores
-/// global first-appearance order — exactly the serial output.
+/// group-key hash, tagged with their input position; each partition
+/// streams through the aggregation kernel in tag order (only its group
+/// states are held and charged) and emits its groups with their first
+/// tags, which the partitioner merges back into global first-appearance
+/// order — exactly the serial output.
 ///
 /// Error ordering matches serial execution: the serial loop evaluates a
 /// row's group key, then its aggregate arguments, before looking at the
@@ -569,109 +564,19 @@ fn aggregate_spill(
     res: &MemoryReservation,
 ) -> Result<Vec<Tuple>> {
     debug_assert!(!group_by.is_empty(), "global aggregates never spill");
-    debug_assert!(
-        aggs.iter().all(|c| !c.distinct),
-        "DISTINCT aggregates never spill"
-    );
-    let group_c = CompiledProjection::compile(exec, group_by);
-    let arg_c: Vec<Option<CompiledExpr>> = aggs
-        .iter()
-        .map(|call| call.arg.as_ref().map(|e| CompiledExpr::compile(exec, e)))
-        .collect();
-
-    let mut files = SpillPartitions::create(parts)?;
-    let mut best_err: Option<(u64, PermError)> = None;
-    for (i, t) in rows.iter().enumerate() {
-        // Masked cancellation check per 4096 scattered rows.
-        if i % 4096 == 0 {
-            exec.check_cancelled()?;
-        }
-        let env = Env::new(t, outer);
-        match group_c.apply(exec, &env) {
-            Ok(key) => files.push(crate::parallel::partition_of(&key, parts), i as u64, t)?,
-            Err(e) => {
-                best_err = Some((i as u64, e));
-                break;
-            }
-        }
-    }
-    drop(rows);
-
-    let mut out: Vec<(u64, Tuple)> = Vec::new();
-    for reader in files.into_readers()? {
-        // Partition boundary: cancellation point (temp files are cleaned
-        // by the readers' Drop even on the early-return path).
-        exec.check_cancelled()?;
-        let mut charged = 0usize;
-        // (first tag, key) in this partition's first-appearance order.
-        let mut order: Vec<(u64, Tuple)> = Vec::new();
-        let mut groups: FxHashMap<Tuple, GroupState> = FxHashMap::default();
-        'row: for (ri, rec) in reader.enumerate() {
-            // Masked cancellation check per 4096 reloaded rows.
-            if ri % 4096 == 0 {
-                exec.check_cancelled()?;
-            }
-            let (tag, t) = rec?;
-            if matches!(&best_err, Some((bt, _)) if *bt <= tag) {
-                break 'row;
-            }
-            let env = Env::new(&t, outer);
-            // Re-evaluation of the (deterministic) key that already
-            // succeeded during the scatter.
-            let key = group_c.apply(exec, &env)?;
-            let state = match groups.entry(key) {
-                std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-                std::collections::hash_map::Entry::Vacant(v) => {
-                    // Group state (key + accumulators) is the memory the
-                    // in-memory path would hold per group.
-                    let bytes = v.key().size_bytes() + 32 * aggs.len().max(1);
-                    res.grow_unpooled(bytes)?;
-                    charged += bytes;
-                    order.push((tag, v.key().clone()));
-                    v.insert(GroupState::new(aggs))
-                }
-            };
-            // no-cancel: bounded by the aggregate-call count.
-            for (i, arg_expr) in arg_c.iter().enumerate() {
-                let arg = match arg_expr {
-                    Some(e) => match e.eval(exec, &env) {
-                        Ok(v) => Some(v),
-                        Err(e) => {
-                            best_err = Some((tag, e));
-                            break 'row;
-                        }
-                    },
-                    None => None,
-                };
-                if let Err(e) = state.states[i].update(arg.as_ref()) {
-                    best_err = Some((tag, e));
-                    break 'row;
-                }
-            }
-        }
-        // no-cancel: output assembly from already-computed group states.
-        for (tag, key) in order {
-            // INVARIANT: `order` holds exactly the keys of `groups`.
-            let state = groups.remove(&key).expect("group registered");
-            let mut vals = key.into_values();
-            // no-cancel: bounded by the aggregate-call count.
-            for s in state.states {
-                vals.push(s.finish());
-            }
-            out.push((tag, Tuple::new(vals)));
-        }
-        res.shrink(charged);
-    }
-    if let Some((_, e)) = best_err {
-        return Err(e);
-    }
-    // First-appearance tags are unique across partitions.
-    out.sort_unstable_by_key(|(t, _)| *t);
-    Ok(out.into_iter().map(|(_, t)| t).collect())
-}
-
-/// Integer-preserving addition used by tests to pin sum semantics.
-#[allow(dead_code)]
-pub(crate) fn add_values(a: &Value, b: &Value) -> Result<Value> {
-    ops::arith(ArithOp::Add, a, b)
+    let key = KeyPlan::compile(exec, group_by);
+    let mut spilled = Spilled::new(parts, res);
+    let key_err = spilled.scatter(exec.context(), rows, 0, |t| {
+        let k = key.apply(exec, &Env::new(t, outer))?;
+        Ok(Some(partition_of(&k, parts)))
+    })?;
+    spilled.run(exec.context(), key_err, |[rows], mem| {
+        let partial = match accumulate(exec, rows, group_by, aggs, outer, mem)? {
+            Ok(partial) => partial,
+            Err(e) => return Ok(Err(e)),
+        };
+        let mut out = Vec::with_capacity(partial.order.len());
+        finish(partial, group_by, aggs, |tag, t| out.push((tag, t)));
+        Ok(Ok(out))
+    })
 }

@@ -5,19 +5,29 @@
 //! `IS NOT DISTINCT FROM` keys Perm's aggregation join-back emits), the
 //! build side and any fused output projection are all decided by the
 //! physical planner ([`crate::physical`]); this module only runs the
-//! operator it is handed.
+//! operator it is handed. Each join has one per-row kernel — the hash
+//! probe `Prober::probe_row` and the index probe `index_probe` — which
+//! the serial, parallel and spill paths all run; all three join kernels
+//! share the per-row core `RowJoiner::join_row`.
 
-use perm_storage::SpillPartitions;
-use perm_types::hash::{map_with_capacity, FxHashMap, FxHasher};
-use perm_types::{PermError, Result, Tuple, Value};
+use std::borrow::Borrow;
+use std::ops::Range;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
+use perm_types::hash::{map_with_capacity, FxHashMap};
+use perm_types::{Result, Tuple, Value};
+
+use perm_algebra::expr::ScalarExpr;
 use perm_algebra::plan::JoinType;
 
+use super::partition::{partition_of, place, Parts, Placement, Spilled};
 use crate::compile::CompiledExpr;
 use crate::eval::Env;
 use crate::executor::{check_scan_schema, Executor};
-use crate::memory::{grow_batched, MemoryReservation};
-use crate::physical::{BuildSide, EquiKey, PhysicalPlan};
+use crate::memory::MemoryReservation;
+use crate::parallel::{concat, map_morsels};
+use crate::physical::{BuildSide, PhysicalPlan};
 
 /// Execute a physical join node ([`PhysicalPlan::HashJoin`],
 /// [`PhysicalPlan::NLJoin`] or [`PhysicalPlan::IndexNLJoin`]).
@@ -26,74 +36,27 @@ pub fn run_join(exec: &Executor, plan: &PhysicalPlan) -> Result<Vec<Tuple>> {
         PhysicalPlan::HashJoin {
             left,
             right,
-            kind,
-            keys,
-            residual,
-            build_side,
-            nl,
-            nr,
-            out_slots,
             dop,
             spill,
             ..
         } => {
             let lrows = exec.run_physical(left)?;
             let rrows = exec.run_physical(right)?;
+            let spec = JoinSpec::compile(exec, plan);
             // Charge the build side before building: the hash table
             // retains every build row (plus key copies). A denial turns
             // the join into a Grace join over spill partitions.
-            let reservation = exec.memory().register("HashJoin build");
-            let build = match build_side {
-                BuildSide::Left => &lrows,
-                BuildSide::Right => &rrows,
-            };
-            if let Err(denied) = grow_batched(&reservation, build.iter().map(Tuple::size_bytes)) {
-                reservation.free();
-                let Some(parts) = spill else {
-                    return Err(denied.into_error());
-                };
-                return hash_join_spill(
-                    exec,
-                    lrows,
-                    rrows,
-                    *nl,
-                    *nr,
-                    *kind,
-                    keys,
-                    residual.as_ref(),
-                    *build_side,
-                    out_slots.as_deref(),
-                    *parts,
-                    &reservation,
-                );
+            let res = exec.memory().register("HashJoin build");
+            let (build, _) = spec.orient(&lrows, &rrows);
+            match place(&res, build.iter().map(Tuple::size_bytes), *dop, *spill)? {
+                Placement::Serial => hash_join(exec, &spec, lrows, rrows),
+                Placement::Parts(Parts::Workers(n)) => {
+                    hash_join_parallel(exec, spec, lrows, rrows, n)
+                }
+                Placement::Parts(Parts::Spill(n, res)) => {
+                    hash_join_spill(exec, &spec, lrows, rrows, n, res)
+                }
             }
-            if *dop > 1 {
-                return hash_join_parallel(
-                    exec,
-                    lrows,
-                    rrows,
-                    *nl,
-                    *nr,
-                    *kind,
-                    keys,
-                    residual.as_ref(),
-                    *build_side,
-                    out_slots.as_deref(),
-                    *dop,
-                );
-            }
-            hash_join(
-                exec,
-                lrows,
-                rrows,
-                *nl,
-                *nr,
-                *kind,
-                keys,
-                residual.as_ref(),
-                *build_side,
-                out_slots.as_deref(),
-            )
         }
         PhysicalPlan::NLJoin {
             left,
@@ -279,164 +242,320 @@ fn build_table(
     Ok((table, next))
 }
 
-#[allow(clippy::too_many_arguments)]
-fn hash_join(
-    exec: &Executor,
-    lrows: Vec<Tuple>,
-    rrows: Vec<Tuple>,
+/// A hash join's plan node, compiled once per execution: key
+/// expressions (build side and probe side), residual and output shape.
+/// Parallel probe workers share it (parallel joins are sublink-free).
+struct JoinSpec {
+    kind: JoinType,
+    /// Build on the left input. The planner picks this only for inner
+    /// joins: the other kinds emit per probe row, which needs the left
+    /// side on the probe end.
+    build_left: bool,
     nl: usize,
     nr: usize,
-    kind: JoinType,
-    keys: &[EquiKey],
-    residual: Option<&perm_algebra::expr::ScalarExpr>,
-    build_side: BuildSide,
-    out_slots: Option<&[usize]>,
-) -> Result<Vec<Tuple>> {
-    let outer = exec.outer_stack();
-    // Key expressions and the residual are compiled once per join, then
-    // evaluated per row.
-    let left_exprs: Vec<CompiledExpr> = keys
-        .iter()
-        .map(|k| CompiledExpr::compile(exec, &k.left))
-        .collect();
-    let right_exprs: Vec<CompiledExpr> = keys
-        .iter()
-        .map(|k| CompiledExpr::compile(exec, &k.right))
-        .collect();
-    let null_safe: Vec<bool> = keys.iter().map(|k| k.null_safe).collect();
-    let residual = residual.map(|r| CompiledExpr::compile(exec, r));
+    out_slots: Option<Vec<usize>>,
+    build: Vec<CompiledExpr>,
+    probe: Vec<CompiledExpr>,
+    null_safe: Vec<bool>,
+    residual: Option<CompiledExpr>,
+}
 
-    // The planner picks BuildSide::Left only for inner joins (the other
-    // kinds need the unmatched-tracking of the right-build loop).
-    if matches!(build_side, BuildSide::Left) {
-        debug_assert!(matches!(kind, JoinType::Inner));
-        let (table, next) = build_table(exec, &lrows, &left_exprs, &null_safe, &outer)?;
-        let kb = KeyBuilder::new(&right_exprs, &null_safe);
-        let mut out = Vec::with_capacity(rrows.len());
-        for (pi, r) in rrows.iter().enumerate() {
-            // Masked cancellation check per 4096 probe rows.
-            if pi % 4096 == 0 {
-                exec.check_cancelled()?;
-            }
-            let Some(key) = kb.key(exec, r, &outer)? else {
-                continue;
-            };
-            let Some(&(head, _)) = table.get(&key) else {
-                continue;
-            };
-            let mut li = head;
-            // no-cancel: chain walk; emission calls check_row_budget and
-            // the probe loop above checks per row batch.
-            while li != NIL {
-                let l = &lrows[li];
-                // Advance before the body: a residual miss `continue`s.
-                li = next[li];
-                let mut combined = None;
-                if let Some(pred) = &residual {
-                    let c = l.concat(r);
-                    let env = Env::new(&c, &outer);
-                    if pred.eval_bool(exec, &env)? != Some(true) {
-                        continue;
-                    }
-                    combined = Some(c);
-                }
-                out.push(emit_row(l, r, nl, combined, out_slots));
-                exec.check_row_budget(out.len())?;
-            }
+impl JoinSpec {
+    fn compile(exec: &Executor, plan: &PhysicalPlan) -> JoinSpec {
+        let PhysicalPlan::HashJoin {
+            kind,
+            keys,
+            residual,
+            build_side,
+            nl,
+            nr,
+            out_slots,
+            ..
+        } = plan
+        else {
+            unreachable!("JoinSpec of non-hash-join node {plan:?}");
+        };
+        let build_left = matches!(build_side, BuildSide::Left);
+        let side = |left: bool| -> Vec<CompiledExpr> {
+            keys.iter()
+                .map(|k| CompiledExpr::compile(exec, if left { &k.left } else { &k.right }))
+                .collect()
+        };
+        JoinSpec {
+            kind: *kind,
+            build_left,
+            nl: *nl,
+            nr: *nr,
+            out_slots: out_slots.clone(),
+            build: side(build_left),
+            probe: side(!build_left),
+            null_safe: keys.iter().map(|k| k.null_safe).collect(),
+            residual: residual.as_ref().map(|r| CompiledExpr::compile(exec, r)),
         }
-        return Ok(out);
     }
 
-    // Build on the right side (the general path: supports outer, semi and
-    // anti joins through left-probe match tracking).
-    let (table, next) = build_table(exec, &rrows, &right_exprs, &null_safe, &outer)?;
+    /// `(build, probe)` out of the join's `(left, right)` inputs.
+    fn orient<T>(&self, left: T, right: T) -> (T, T) {
+        if self.build_left {
+            (left, right)
+        } else {
+            (right, left)
+        }
+    }
 
-    let kb = KeyBuilder::new(&left_exprs, &null_safe);
-    let right_nulls = Tuple::nulls(nr);
-    let is_full = matches!(kind, JoinType::Full);
-    let mut right_matched = vec![false; if is_full { rrows.len() } else { 0 }];
-    let mut out = Vec::with_capacity(lrows.len());
-    for (pi, l) in lrows.iter().enumerate() {
+    fn table(&self, exec: &Executor, build: &[Tuple], outer: &[Tuple]) -> Result<JoinTable> {
+        build_table(exec, build, &self.build, &self.null_safe, outer)
+    }
+}
+
+/// The per-row core of every join kernel (hash probe, index probe,
+/// nested loop): one input row against its candidate partners.
+struct RowJoiner<'a> {
+    exec: &'a Executor,
+    outer: &'a [Tuple],
+    kind: JoinType,
+    nl: usize,
+    residual: Option<&'a CompiledExpr>,
+    out_slots: Option<&'a [usize]>,
+    /// NULL padding for an unmatched LEFT/FULL row's right side.
+    right_nulls: Tuple,
+}
+
+impl RowJoiner<'_> {
+    /// Join `row` with each candidate partner the residual accepts: emit
+    /// the joined rows (none for SEMI/ANTI; SEMI stops at the first
+    /// match) and report each match's partner index to `on_match`; then
+    /// emit `row`'s SEMI/ANTI/LEFT/FULL epilogue. With `row_is_left`
+    /// false the partners are the left side (a hash join building on the
+    /// left, which is inner-only): pairs flip and there is no epilogue.
+    fn join_row<R: Borrow<Tuple>>(
+        &self,
+        row: &Tuple,
+        row_is_left: bool,
+        partners: impl Iterator<Item = Result<(usize, R)>>,
+        mut on_match: impl FnMut(usize),
+        mut emit: impl FnMut(Tuple) -> Result<()>,
+    ) -> Result<()> {
+        let mut matched = false;
+        // no-cancel: candidate walk; emission checks the row budget and
+        // every caller checks per input-row batch (the nested loop per
+        // 4096 pairs, inside `partners`).
+        for partner in partners {
+            let (i, partner) = partner?;
+            let partner = partner.borrow();
+            let (l, r) = if row_is_left {
+                (row, partner)
+            } else {
+                (partner, row)
+            };
+            // The combined row is only materialized when the residual
+            // predicate needs an environment to run in.
+            let mut combined = None;
+            if let Some(pred) = self.residual {
+                let c = l.concat(r);
+                if pred.eval_bool(self.exec, &Env::new(&c, self.outer))? != Some(true) {
+                    continue;
+                }
+                combined = Some(c);
+            }
+            matched = true;
+            on_match(i);
+            match self.kind {
+                JoinType::Semi => break,
+                JoinType::Anti => {}
+                _ => emit(emit_row(l, r, self.nl, combined, self.out_slots))?,
+            }
+        }
+        if row_is_left {
+            match self.kind {
+                JoinType::Semi if matched => emit(emit_left(row, self.out_slots))?,
+                JoinType::Anti if !matched => emit(emit_left(row, self.out_slots))?,
+                JoinType::Left | JoinType::Full if !matched => {
+                    emit(emit_row(
+                        row,
+                        &self.right_nulls,
+                        self.nl,
+                        None,
+                        self.out_slots,
+                    ))?;
+                }
+                _ => {}
+            }
+        }
+        Ok(())
+    }
+}
+
+/// The hash-join kernel: one probe row against a build table. Every hash
+/// join path runs it — serial with either build side, each morsel of the
+/// parallel probe, each Grace partition of the spilled join.
+struct Prober<'a> {
+    joiner: RowJoiner<'a>,
+    build_left: bool,
+    keys: KeyBuilder<'a>,
+    table: &'a JoinTable,
+    build: &'a [Tuple],
+}
+
+impl<'a> Prober<'a> {
+    fn new(
+        exec: &'a Executor,
+        outer: &'a [Tuple],
+        spec: &'a JoinSpec,
+        table: &'a JoinTable,
+        build: &'a [Tuple],
+    ) -> Prober<'a> {
+        Prober {
+            joiner: RowJoiner {
+                exec,
+                outer,
+                kind: spec.kind,
+                nl: spec.nl,
+                residual: spec.residual.as_ref(),
+                out_slots: spec.out_slots.as_deref(),
+                right_nulls: Tuple::nulls(spec.nr),
+            },
+            build_left: spec.build_left,
+            keys: KeyBuilder::new(&spec.probe, &spec.null_safe),
+            table,
+            build,
+        }
+    }
+
+    /// Probe with `p`: emit its output rows, oriented `left ++ right`;
+    /// mark the build rows it matched in `build_matched` (FULL joins;
+    /// empty otherwise).
+    fn probe_row(
+        &self,
+        p: &Tuple,
+        build_matched: &mut [bool],
+        emit: impl FnMut(Tuple) -> Result<()>,
+    ) -> Result<()> {
+        let (exec, outer) = (self.joiner.exec, self.joiner.outer);
+        let head = match self.keys.key(exec, p, outer)? {
+            Some(key) => self.table.0.get(&key).map(|&(head, _)| head),
+            None => None,
+        };
+        // The key's chain, in build order.
+        let next = |&b: &usize| Some(self.table.1[b]).filter(|&n| n != NIL);
+        let partners = std::iter::successors(head, next).map(|b| Ok((b, &self.build[b])));
+        let mark = |b: usize| {
+            if let Some(m) = build_matched.get_mut(b) {
+                *m = true;
+            }
+        };
+        self.joiner
+            .join_row(p, !self.build_left, partners, mark, emit)
+    }
+}
+
+fn hash_join(
+    exec: &Executor,
+    spec: &JoinSpec,
+    lrows: Vec<Tuple>,
+    rrows: Vec<Tuple>,
+) -> Result<Vec<Tuple>> {
+    let outer = exec.outer_stack();
+    let (build, probe) = spec.orient(&lrows, &rrows);
+    let table = spec.table(exec, build, &outer)?;
+    let prober = Prober::new(exec, &outer, spec, &table, build);
+    let is_full = matches!(spec.kind, JoinType::Full);
+    let mut build_matched = vec![false; if is_full { build.len() } else { 0 }];
+    let mut out = Vec::with_capacity(probe.len());
+    for (pi, p) in probe.iter().enumerate() {
         // Masked cancellation check per 4096 probe rows.
         if pi % 4096 == 0 {
             exec.check_cancelled()?;
         }
-        let key = kb.key(exec, l, &outer)?;
-        let mut matched = false;
-        if let Some(key) = key {
-            if let Some(&(head, _)) = table.get(&key) {
-                let mut ri = head;
-                // no-cancel: chain walk; emission calls check_row_budget
-                // and the probe loop above checks per row batch.
-                while ri != NIL {
-                    let cur = ri;
-                    // Advance before the body: a residual miss `continue`s.
-                    ri = next[cur];
-                    // The combined row is only materialized when the
-                    // residual predicate needs an environment to run in.
-                    let mut combined = None;
-                    if let Some(pred) = &residual {
-                        let c = l.concat(&rrows[cur]);
-                        let env = Env::new(&c, &outer);
-                        if pred.eval_bool(exec, &env)? != Some(true) {
-                            continue;
-                        }
-                        combined = Some(c);
-                    }
-                    matched = true;
-                    if is_full {
-                        right_matched[cur] = true;
-                    }
-                    match kind {
-                        JoinType::Semi | JoinType::Anti => {}
-                        _ => out.push(emit_row(l, &rrows[cur], nl, combined, out_slots)),
-                    }
-                    exec.check_row_budget(out.len())?;
-                    if matches!(kind, JoinType::Semi) {
-                        break;
-                    }
-                }
-            }
-        }
-        match kind {
-            JoinType::Semi if matched => out.push(emit_left(l, out_slots)),
-            JoinType::Anti if !matched => out.push(emit_left(l, out_slots)),
-            JoinType::Left | JoinType::Full if !matched => {
-                out.push(emit_row(l, &right_nulls, nl, None, out_slots));
-            }
-            _ => {}
-        }
+        prober.probe_row(p, &mut build_matched, |t| {
+            out.push(t);
+            exec.check_row_budget(out.len())
+        })?;
     }
-    if matches!(kind, JoinType::Full) {
-        let left_nulls = Tuple::nulls(nl);
-        for (i, r) in rrows.iter().enumerate() {
-            // Masked cancellation check per 4096 epilogue rows.
-            if i % 4096 == 0 {
-                exec.check_cancelled()?;
-            }
-            if !right_matched[i] {
-                out.push(emit_row(&left_nulls, r, nl, None, out_slots));
-            }
-        }
+    if is_full {
+        pad_unmatched_right(
+            exec,
+            build,
+            &build_matched,
+            spec.nl,
+            spec.out_slots.as_deref(),
+            &mut out,
+        )?;
     }
     Ok(out)
 }
 
-/// Partition a join key the same way [`crate::parallel::partition_of`]
-/// partitions whole rows: high hash bits modulo the partition count.
-fn key_partition(key: &Key, parts: usize) -> usize {
-    use std::hash::{Hash, Hasher};
-    let mut h = FxHasher::default();
-    key.hash(&mut h);
-    ((h.finish() >> 32) as usize) % parts
+/// Parallel hash join: the build phase runs on the calling thread (the
+/// planner put the smaller input there), then probe rows are claimed in
+/// morsels by worker threads against the shared read-only table. Morsel
+/// outputs concatenate in morsel order, so the result — including LEFT
+/// null padding and SEMI/ANTI row selection — is exactly the serial one.
+///
+/// FULL joins track build-side matches *across* probe rows and are never
+/// handed a `dop > 1` by the planner.
+fn hash_join_parallel(
+    exec: &Executor,
+    spec: JoinSpec,
+    lrows: Vec<Tuple>,
+    rrows: Vec<Tuple>,
+    dop: usize,
+) -> Result<Vec<Tuple>> {
+    debug_assert!(
+        !matches!(spec.kind, JoinType::Full),
+        "FULL joins stay serial"
+    );
+    let outer = exec.outer_stack();
+    let (build, probe) = spec.orient(lrows, rrows);
+    let table = spec.table(exec, &build, &outer)?;
+    probe_in_morsels(exec, dop, probe.len(), move |sub, range, done_elsewhere| {
+        let prober = Prober::new(sub, &outer, &spec, &table, &build);
+        let mut out = Vec::new();
+        // no-cancel: morsel body (≤ MORSEL_ROWS rows); map_morsels checks
+        // per claim.
+        for p in &probe[range] {
+            prober.probe_row(p, &mut [], |t| {
+                out.push(t);
+                sub.check_row_budget(done_elsewhere + out.len())
+            })?;
+        }
+        Ok(out)
+    })
+}
+
+/// The morsel loop of both parallel joins: probe rows `0..total` in
+/// morsels on `dop` workers, each with its own executor over the catalog
+/// snapshot, and concatenate the outputs in morsel order — the serial
+/// order. `probe(sub, morsel, done_elsewhere)` also gets the rows emitted
+/// by completed morsels: each worker checks its local output against the
+/// budget minus everyone else's, so a runaway join aborts incrementally
+/// like the serial loop does instead of after the full result
+/// materialized.
+fn probe_in_morsels<F>(exec: &Executor, dop: usize, total: usize, probe: F) -> Result<Vec<Tuple>>
+where
+    F: Fn(&Executor, Range<usize>, usize) -> Result<Vec<Tuple>> + Send + Sync + 'static,
+{
+    let catalog = exec.catalog_arc();
+    let ctx = exec.context().clone();
+    let emitted = AtomicUsize::new(0);
+    let parts = map_morsels(exec.context(), dop, total, move |range| {
+        let sub = Executor::new(Arc::clone(&catalog)).with_context(ctx.clone());
+        let out = probe(&sub, range, emitted.load(Ordering::Relaxed))?;
+        emitted.fetch_add(out.len(), Ordering::Relaxed);
+        Ok(out)
+    })?;
+    let out = concat(parts);
+    exec.check_row_budget(out.len())?;
+    Ok(out)
 }
 
 /// Grace hash join over spill partitions — the fallback when the build
 /// side's reservation is denied. Both sides scatter to disk by key hash
-/// (equal keys colocate), each partition re-runs the serial build+probe
-/// with probe rows tagged by their input position, and a final stable
-/// sort by probe tag restores the serial output order (within one probe
-/// row, emissions already occur in serial candidate order).
+/// (equal keys colocate) tagged with their input position; each
+/// partition builds its table and runs the probe kernel, and the
+/// partitioner merges the output by probe position (within one probe
+/// row, emissions already occur in serial candidate order). Only a
+/// partition's build rows are held, charged to the query cap; its probe
+/// rows stream from disk.
 ///
 /// Error ordering also matches the serial path. Build-key errors surface
 /// during the build scatter, in build-row order, before any probe work —
@@ -448,188 +567,83 @@ fn key_partition(key: &Key, parts: usize) -> usize {
 ///
 /// FULL joins track unmatched build rows across the whole build side and
 /// are planned with `spill: None`; they never reach this path.
-#[allow(clippy::too_many_arguments)]
 fn hash_join_spill(
     exec: &Executor,
+    spec: &JoinSpec,
     lrows: Vec<Tuple>,
     rrows: Vec<Tuple>,
-    nl: usize,
-    nr: usize,
-    kind: JoinType,
-    keys: &[EquiKey],
-    residual: Option<&perm_algebra::expr::ScalarExpr>,
-    build_side: BuildSide,
-    out_slots: Option<&[usize]>,
     parts: usize,
     res: &MemoryReservation,
 ) -> Result<Vec<Tuple>> {
-    debug_assert!(!matches!(kind, JoinType::Full), "FULL joins never spill");
+    debug_assert!(
+        !matches!(spec.kind, JoinType::Full),
+        "FULL joins never spill"
+    );
+    let ctx = exec.context();
     let outer = exec.outer_stack();
-    let left_exprs: Vec<CompiledExpr> = keys
-        .iter()
-        .map(|k| CompiledExpr::compile(exec, &k.left))
-        .collect();
-    let right_exprs: Vec<CompiledExpr> = keys
-        .iter()
-        .map(|k| CompiledExpr::compile(exec, &k.right))
-        .collect();
-    let null_safe: Vec<bool> = keys.iter().map(|k| k.null_safe).collect();
-    let residual = residual.map(|r| CompiledExpr::compile(exec, r));
-
-    let build_left = matches!(build_side, BuildSide::Left);
-    let (build_rows, probe_rows) = if build_left {
-        (lrows, rrows)
-    } else {
-        (rrows, lrows)
+    let (build, probe) = spec.orient(lrows, rrows);
+    let route = |keys: &KeyBuilder<'_>, t: &Tuple| -> Result<Option<usize>> {
+        Ok(keys.key(exec, t, &outer)?.map(|k| partition_of(&k, parts)))
     };
-    let (build_exprs, probe_exprs) = if build_left {
-        (&left_exprs, &right_exprs)
-    } else {
-        (&right_exprs, &left_exprs)
-    };
-
-    // Scatter the build side by key hash. Rows whose key is NULL under
-    // plain equality match nothing, and for non-FULL joins an unmatched
-    // build row is never emitted: drop them here.
-    let mut bfiles = SpillPartitions::create(parts)?;
-    for (i, row) in build_rows.iter().enumerate() {
-        // Masked cancellation check per 4096 scattered rows.
-        if i % 4096 == 0 {
-            exec.check_cancelled()?;
-        }
-        let env = Env::new(row, &outer);
-        if let Some(key) = build_key(exec, build_exprs, &null_safe, &env)? {
-            bfiles.push(key_partition(&key, parts), i as u64, row)?;
-        }
+    let mut spilled = Spilled::new(parts, res);
+    // Build rows whose key is NULL under plain equality match nothing,
+    // and for non-FULL joins an unmatched build row is never emitted:
+    // the route drops them.
+    let build_keys = KeyBuilder::new(&spec.build, &spec.null_safe);
+    if let Some((_, e)) = spilled.scatter(ctx, build, 0, |t| route(&build_keys, t))? {
+        return Err(e);
     }
-    drop(build_rows);
-
-    // Scatter the probe side, tagged with probe position. NULL-key probe
-    // rows match nothing but still drive the LEFT/ANTI epilogue, so they
-    // land in partition 0 (any partition works) — except when the build
-    // side is the left one: that is inner-join-only, no epilogue.
-    let mut pfiles = SpillPartitions::create(parts)?;
-    let mut best_err: Option<(u64, PermError)> = None;
-    for (j, row) in probe_rows.iter().enumerate() {
-        // Masked cancellation check per 4096 scattered rows.
-        if j % 4096 == 0 {
-            exec.check_cancelled()?;
-        }
-        let env = Env::new(row, &outer);
-        match build_key(exec, probe_exprs, &null_safe, &env) {
-            Ok(Some(key)) => pfiles.push(key_partition(&key, parts), j as u64, row)?,
-            Ok(None) if !build_left => pfiles.push(0, j as u64, row)?,
-            Ok(None) => {}
-            Err(e) => {
-                best_err = Some((j as u64, e));
-                break;
-            }
-        }
-    }
-    drop(probe_rows);
-
-    let right_nulls = Tuple::nulls(nr);
-    let mut emitted: Vec<(u64, Tuple)> = Vec::new();
-    for (breader, preader) in bfiles
-        .into_readers()?
-        .into_iter()
-        .zip(pfiles.into_readers()?)
-    {
-        // Partition boundary: cancellation point (temp files are cleaned
-        // by the readers' Drop even on the early-return path).
-        exec.check_cancelled()?;
-        // Rebuild this partition's chained hash table; records read back
-        // in build order, so per-key chains match the in-memory table's.
-        // The partition's rows are this path's working memory: charged
-        // to the per-query cap only, released when the partition ends.
-        let mut charged = 0usize;
-        let mut part_build: Vec<Tuple> = Vec::with_capacity(breader.remaining());
-        for (bi, rec) in breader.enumerate() {
+    // NULL-key probe rows match nothing but still drive the LEFT/ANTI
+    // epilogue, so they land in partition 0 (any partition works) —
+    // except when the build side is the left one: that is
+    // inner-join-only, no epilogue.
+    let probe_keys = KeyBuilder::new(&spec.probe, &spec.null_safe);
+    let null_key_part = (!spec.build_left).then_some(0);
+    let key_err = spilled.scatter(ctx, probe, 0, |t| {
+        Ok(route(&probe_keys, t)?.or(null_key_part))
+    })?;
+    let mut emitted = 0usize;
+    spilled.run(ctx, key_err, |[build_rows, probe], mem| {
+        // Build rows read back in build order, so per-key chains match the
+        // in-memory table's.
+        let mut build = Vec::with_capacity(build_rows.size_hint().0);
+        for (i, rec) in build_rows.enumerate() {
             // Masked cancellation check per 4096 reloaded rows.
-            if bi % 4096 == 0 {
+            if i % 4096 == 0 {
                 exec.check_cancelled()?;
             }
-            let (_, row) = rec?;
-            let bytes = row.size_bytes();
-            res.grow_unpooled(bytes)?;
-            charged += bytes;
-            part_build.push(row);
+            let (_, t) = rec?;
+            mem.keep(|| t.size_bytes())?;
+            build.push(t);
         }
-        // Re-evaluation of (deterministic) keys that already succeeded
-        // during the scatter.
-        let (table, next) = build_table(exec, &part_build, build_exprs, &null_safe, &outer)?;
-        'probe: for (qi, rec) in preader.enumerate() {
-            // Masked cancellation check per 4096 probe records.
-            if qi % 4096 == 0 {
+        // Re-evaluates (deterministic) keys that already succeeded during
+        // the scatter.
+        let table = spec.table(exec, &build, &outer)?;
+        let prober = Prober::new(exec, &outer, spec, &table, &build);
+        let mut out = Vec::new();
+        for (i, rec) in probe.enumerate() {
+            // Masked cancellation check per 4096 probe rows.
+            if i % 4096 == 0 {
                 exec.check_cancelled()?;
             }
             let (j, p) = rec?;
-            if matches!(&best_err, Some((bj, _)) if *bj <= j) {
-                break 'probe;
-            }
-            let env = Env::new(&p, &outer);
-            let key = build_key(exec, probe_exprs, &null_safe, &env)?;
-            let mut matched = false;
-            if let Some(key) = key {
-                if let Some(&(head, _)) = table.get(&key) {
-                    let mut bi = head;
-                    // no-cancel: chain walk; emission calls
-                    // check_row_budget and the probe loop checks per
-                    // record batch.
-                    while bi != NIL {
-                        let cur = bi;
-                        // Advance before the body: residual misses skip.
-                        bi = next[cur];
-                        let b = &part_build[cur];
-                        let (l, r) = if build_left { (b, &p) } else { (&p, b) };
-                        let mut combined = None;
-                        if let Some(pred) = &residual {
-                            let c = l.concat(r);
-                            let cenv = Env::new(&c, &outer);
-                            match pred.eval_bool(exec, &cenv) {
-                                Err(e) => {
-                                    best_err = Some((j, e));
-                                    break 'probe;
-                                }
-                                Ok(v) if v != Some(true) => continue,
-                                Ok(_) => combined = Some(c),
-                            }
-                        }
-                        matched = true;
-                        match kind {
-                            JoinType::Semi | JoinType::Anti => {}
-                            _ => emitted.push((j, emit_row(l, r, nl, combined, out_slots))),
-                        }
-                        exec.check_row_budget(emitted.len())?;
-                        if matches!(kind, JoinType::Semi) {
-                            break;
-                        }
-                    }
-                }
-            }
-            if !build_left {
-                match kind {
-                    JoinType::Semi if matched => emitted.push((j, emit_left(&p, out_slots))),
-                    JoinType::Anti if !matched => emitted.push((j, emit_left(&p, out_slots))),
-                    JoinType::Left if !matched => {
-                        emitted.push((j, emit_row(&p, &right_nulls, nl, None, out_slots)));
-                    }
-                    _ => {}
-                }
+            let probed = prober.probe_row(&p, &mut [], |t| {
+                out.push((j, t));
+                exec.check_row_budget(emitted + out.len())
+            });
+            if let Err(e) = probed {
+                return Ok(Err((j, e)));
             }
         }
-        res.shrink(charged);
-    }
-    if let Some((_, e)) = best_err {
-        return Err(e);
-    }
-    emitted.sort_by_key(|(j, _)| *j);
-    Ok(emitted.into_iter().map(|(_, t)| t).collect())
+        emitted += out.len();
+        Ok(Ok(out))
+    })
 }
 
-/// Index nested-loop join: for each outer row, evaluate the key
-/// expression and probe the inner table's hash index; apply the fused
-/// inner filter/projection and the residual condition to each candidate.
+/// Index nested-loop join. Serial execution runs [`index_probe`] over
+/// every outer row; parallel execution runs it over morsels of the outer
+/// rows, sharing the compiled probe and the index, and concatenates in
+/// morsel order — the serial output.
 fn index_nl_join(exec: &Executor, plan: &PhysicalPlan) -> Result<Vec<Tuple>> {
     let PhysicalPlan::IndexNLJoin {
         outer: outer_plan,
@@ -642,7 +656,6 @@ fn index_nl_join(exec: &Executor, plan: &PhysicalPlan) -> Result<Vec<Tuple>> {
         inner_project,
         residual,
         nl,
-        nr: _,
         out_slots,
         dop,
         ..
@@ -651,387 +664,148 @@ fn index_nl_join(exec: &Executor, plan: &PhysicalPlan) -> Result<Vec<Tuple>> {
         unreachable!("index_nl_join on non-INLJ node");
     };
     let lrows = exec.run_physical(outer_plan)?;
-    let t = exec.catalog().table(table)?;
-    check_scan_schema(t, table, schema)?;
-    if *dop > 1 {
-        return index_nl_join_parallel(
-            exec,
-            lrows,
-            *kind,
-            table,
-            *column,
-            key,
-            inner_filter.as_ref(),
-            inner_project.clone(),
-            residual.as_ref(),
-            *nl,
-            schema.len(),
-            out_slots.clone(),
-            *dop,
-        );
-    }
+    check_scan_schema(exec.catalog().table(table)?, table, schema)?;
     let outer = exec.outer_stack();
+    let compile = |e| CompiledExpr::compile(exec, e);
+    let probe = IndexProbe {
+        kind: *kind,
+        table: table.clone(),
+        column: *column,
+        key: compile(key),
+        inner_filter: inner_filter.as_ref().map(compile),
+        inner_project: inner_project.clone(),
+        residual: residual.as_ref().map(compile),
+        nl: *nl,
+        inner_width: inner_project.as_ref().map_or(schema.len(), Vec::len),
+        out_slots: out_slots.clone(),
+    };
+    if *dop <= 1 {
+        return index_probe(exec, &probe, &outer, &lrows, 0);
+    }
+    probe_in_morsels(
+        exec,
+        *dop,
+        lrows.len(),
+        move |sub, range, done_elsewhere| {
+            index_probe(sub, &probe, &outer, &lrows[range], done_elsewhere)
+        },
+    )
+}
 
-    let key_expr = CompiledExpr::compile(exec, key);
-    let inner_filter = inner_filter
-        .as_ref()
-        .map(|f| CompiledExpr::compile(exec, f));
-    let residual = residual.as_ref().map(|r| CompiledExpr::compile(exec, r));
-    let index = t.index_on(*column);
+/// An index nested-loop join's plan node without its outer input,
+/// compiled once per execution (parallel joins are sublink-free, so
+/// parallel probe workers share it).
+struct IndexProbe {
+    kind: JoinType,
+    table: String,
+    /// Indexed base-table column probed per outer row.
+    column: usize,
+    key: CompiledExpr,
+    inner_filter: Option<CompiledExpr>,
+    inner_project: Option<Vec<usize>>,
+    residual: Option<CompiledExpr>,
+    nl: usize,
+    /// Width of the inner *output* row (after the fused projection).
+    inner_width: usize,
+    out_slots: Option<Vec<usize>>,
+}
 
-    // Width of the inner *output* row (after the fused projection).
-    let inner_width = inner_project
-        .as_ref()
-        .map_or(schema.len(), |p: &Vec<usize>| p.len());
-    let right_nulls = Tuple::nulls(inner_width);
-
+/// The index-probe kernel: for each outer row, evaluate the key
+/// expression and probe the inner table's hash index; apply the fused
+/// inner filter/projection and the residual condition to each candidate.
+/// `budget_base` counts rows already emitted elsewhere.
+fn index_probe(
+    exec: &Executor,
+    probe: &IndexProbe,
+    outer: &[Tuple],
+    rows: &[Tuple],
+    budget_base: usize,
+) -> Result<Vec<Tuple>> {
+    let t = exec.catalog().table(&probe.table)?;
+    let index = t.index_on(probe.column);
+    let joiner = RowJoiner {
+        exec,
+        outer,
+        kind: probe.kind,
+        nl: probe.nl,
+        residual: probe.residual.as_ref(),
+        out_slots: probe.out_slots.as_deref(),
+        right_nulls: Tuple::nulls(probe.inner_width),
+    };
     // Fallback candidates when the index vanished since planning: a
     // linear scan comparing the probe key (same semantics, slower).
     let mut linear: Vec<usize> = Vec::new();
 
     let mut out = Vec::new();
-    for (pi, l) in lrows.iter().enumerate() {
+    for (pi, l) in rows.iter().enumerate() {
         // Masked cancellation check per 4096 outer rows.
         if pi % 4096 == 0 {
             exec.check_cancelled()?;
         }
-        let lenv = Env::new(l, &outer);
-        let key_val = key_expr.eval(exec, &lenv)?;
-        let mut matched = false;
-        if !key_val.is_null() {
-            let candidates: &[usize] = match index {
-                Some(idx) => idx.lookup(&key_val),
-                None => {
-                    linear.clear();
-                    // no-cancel: index-vanished fallback scan; the outer
-                    // loop checks per row batch.
-                    for (i, row) in t.rows().iter().enumerate() {
-                        if !row.get(*column).is_null() && row.get(*column) == &key_val {
-                            linear.push(i);
-                        }
+        let key_val = probe.key.eval(exec, &Env::new(l, outer))?;
+        let candidates: &[usize] = match index {
+            _ if key_val.is_null() => &[],
+            Some(idx) => idx.lookup(&key_val),
+            None => {
+                linear.clear();
+                // no-cancel: index-vanished fallback scan; the outer
+                // loop checks per row batch.
+                for (i, row) in t.rows().iter().enumerate() {
+                    let v = row.get(probe.column);
+                    if !v.is_null() && v == &key_val {
+                        linear.push(i);
                     }
-                    &linear
                 }
+                &linear
+            }
+        };
+        // The fused inner filter and projection turn candidates into
+        // partners, lazily: a SEMI match stops the walk.
+        let partners = candidates.iter().filter_map(|&ri| {
+            let base = &t.rows()[ri];
+            if let Some(f) = &probe.inner_filter {
+                match f.eval_bool(exec, &Env::new(base, outer)) {
+                    Ok(Some(true)) => {}
+                    Ok(_) => return None,
+                    Err(e) => return Some(Err(e)),
+                }
+            }
+            let inner = match &probe.inner_project {
+                Some(slots) => base.project(slots),
+                None => base.clone(),
             };
-            // no-cancel: candidate walk; emission calls check_row_budget
-            // and the outer loop checks per row batch.
-            for &ri in candidates {
-                let base = &t.rows()[ri];
-                if let Some(f) = &inner_filter {
-                    let env = Env::new(base, &outer);
-                    if f.eval_bool(exec, &env)? != Some(true) {
-                        continue;
-                    }
-                }
-                let inner_row = match inner_project {
-                    Some(slots) => base.project(slots),
-                    None => base.clone(),
-                };
-                let mut combined = None;
-                if let Some(pred) = &residual {
-                    let c = l.concat(&inner_row);
-                    let env = Env::new(&c, &outer);
-                    if pred.eval_bool(exec, &env)? != Some(true) {
-                        continue;
-                    }
-                    combined = Some(c);
-                }
-                matched = true;
-                match kind {
-                    JoinType::Semi | JoinType::Anti => {}
-                    _ => out.push(emit_row(l, &inner_row, *nl, combined, out_slots.as_deref())),
-                }
-                exec.check_row_budget(out.len())?;
-                if matches!(kind, JoinType::Semi) {
-                    break;
-                }
-            }
-        }
-        match kind {
-            JoinType::Semi if matched => out.push(emit_left(l, out_slots.as_deref())),
-            JoinType::Anti if !matched => out.push(emit_left(l, out_slots.as_deref())),
-            JoinType::Left if !matched => {
-                out.push(emit_row(l, &right_nulls, *nl, None, out_slots.as_deref()));
-            }
-            _ => {}
-        }
+            Some(Ok((ri, inner)))
+        });
+        let emit = |row| {
+            out.push(row);
+            exec.check_row_budget(budget_base + out.len())
+        };
+        joiner.join_row(l, true, partners, |_| {}, emit)?;
     }
     Ok(out)
 }
 
-// ----------------------------------------------------------------------
-// Morsel-parallel probe phases
-// ----------------------------------------------------------------------
-
-use std::sync::Arc;
-
-use perm_algebra::expr::ScalarExpr;
-
-use crate::parallel::{concat, map_morsels};
-
-/// Parallel hash join: the build phase runs on the calling thread (the
-/// planner put the smaller input there), then probe rows are claimed in
-/// morsels by worker threads against the shared read-only table. Morsel
-/// outputs concatenate in morsel order, so the result — including LEFT
-/// null padding and SEMI/ANTI row selection — is exactly the serial one.
-///
-/// FULL joins track build-side matches *across* probe rows and are never
-/// handed a `dop > 1` by the planner.
-#[allow(clippy::too_many_arguments)]
-fn hash_join_parallel(
+/// FULL join epilogue: the right rows no left row matched, padded with
+/// NULLs on the left.
+fn pad_unmatched_right(
     exec: &Executor,
-    lrows: Vec<Tuple>,
-    rrows: Vec<Tuple>,
+    rrows: &[Tuple],
+    matched: &[bool],
     nl: usize,
-    nr: usize,
-    kind: JoinType,
-    keys: &[EquiKey],
-    residual: Option<&ScalarExpr>,
-    build_side: BuildSide,
     out_slots: Option<&[usize]>,
-    dop: usize,
-) -> Result<Vec<Tuple>> {
-    debug_assert!(!matches!(kind, JoinType::Full), "FULL joins stay serial");
-    let outer = exec.outer_stack();
-    let left_exprs: Vec<CompiledExpr> = keys
-        .iter()
-        .map(|k| CompiledExpr::compile(exec, &k.left))
-        .collect();
-    let right_exprs: Vec<CompiledExpr> = keys
-        .iter()
-        .map(|k| CompiledExpr::compile(exec, &k.right))
-        .collect();
-    let null_safe: Arc<Vec<bool>> = Arc::new(keys.iter().map(|k| k.null_safe).collect());
-
-    let build_left = matches!(build_side, BuildSide::Left);
-    let (build_rows, probe_rows) = if build_left {
-        (lrows, rrows)
-    } else {
-        (rrows, lrows)
-    };
-    let (table, next) = if build_left {
-        build_table(exec, &build_rows, &left_exprs, &null_safe, &outer)?
-    } else {
-        build_table(exec, &build_rows, &right_exprs, &null_safe, &outer)?
-    };
-
-    // Shared read-only state for the probe workers.
-    let catalog = exec.catalog_arc();
-    let build_rows = Arc::new(build_rows);
-    let probe_rows = Arc::new(probe_rows);
-    let table = Arc::new(table);
-    let next = Arc::new(next);
-    let probe_keys: Arc<Vec<ScalarExpr>> = Arc::new(
-        keys.iter()
-            .map(|k| {
-                if build_left {
-                    k.right.clone()
-                } else {
-                    k.left.clone()
-                }
-            })
-            .collect(),
-    );
-    let residual: Arc<Option<ScalarExpr>> = Arc::new(residual.cloned());
-    let out_slots: Arc<Option<Vec<usize>>> = Arc::new(out_slots.map(<[usize]>::to_vec));
-    let total = probe_rows.len();
-    // Rows emitted by *completed* morsels: each worker checks its local
-    // output against the budget minus everyone else's, so a runaway join
-    // aborts incrementally like the serial loop does instead of after
-    // the full result materialized.
-    let emitted = Arc::new(std::sync::atomic::AtomicUsize::new(0));
-
-    let ctx = exec.context().clone();
-    let sub_ctx = ctx.clone();
-    let parts = map_morsels(&ctx, dop, total, move |range| {
-        let sub = Executor::new(Arc::clone(&catalog)).with_context(sub_ctx.clone());
-        let done_elsewhere = emitted.load(std::sync::atomic::Ordering::Relaxed);
-        let probe_c: Vec<CompiledExpr> = probe_keys
-            .iter()
-            .map(|e| CompiledExpr::compile(&sub, e))
-            .collect();
-        let residual_c = residual
-            .as_ref()
-            .as_ref()
-            .map(|r| CompiledExpr::compile(&sub, r));
-        let out_slots = out_slots.as_ref().as_deref();
-        let right_nulls = Tuple::nulls(nr);
-        let kb = KeyBuilder::new(&probe_c, &null_safe);
-        let mut out = Vec::new();
-        // no-cancel: morsel body (≤ MORSEL_ROWS rows); map_morsels checks
-        // per claim.
-        for p in &probe_rows[range] {
-            let key = kb.key(&sub, p, &outer)?;
-            let mut matched = false;
-            if let Some(key) = key {
-                if let Some(&(head, _)) = table.get(&key) {
-                    let mut bi = head;
-                    // no-cancel: chain walk; emission calls
-                    // check_row_budget, claims check per morsel.
-                    while bi != NIL {
-                        let cur = bi;
-                        // Advance before the body: residual misses skip.
-                        bi = next[cur];
-                        let b = &build_rows[cur];
-                        // Orient the combined row as left ++ right.
-                        let (l, r) = if build_left { (b, p) } else { (p, b) };
-                        let mut combined = None;
-                        if let Some(pred) = &residual_c {
-                            let c = l.concat(r);
-                            let env = Env::new(&c, &outer);
-                            if pred.eval_bool(&sub, &env)? != Some(true) {
-                                continue;
-                            }
-                            combined = Some(c);
-                        }
-                        matched = true;
-                        match kind {
-                            JoinType::Semi | JoinType::Anti => {}
-                            _ => out.push(emit_row(l, r, nl, combined, out_slots)),
-                        }
-                        sub.check_row_budget(done_elsewhere + out.len())?;
-                        if matches!(kind, JoinType::Semi) {
-                            break;
-                        }
-                    }
-                }
-            }
-            if !build_left {
-                match kind {
-                    JoinType::Semi if matched => out.push(emit_left(p, out_slots)),
-                    JoinType::Anti if !matched => out.push(emit_left(p, out_slots)),
-                    JoinType::Left if !matched => {
-                        out.push(emit_row(p, &right_nulls, nl, None, out_slots));
-                    }
-                    _ => {}
-                }
-            }
+    out: &mut Vec<Tuple>,
+) -> Result<()> {
+    let left_nulls = Tuple::nulls(nl);
+    for (i, r) in rrows.iter().enumerate() {
+        // Masked cancellation check per 4096 epilogue rows.
+        if i % 4096 == 0 {
+            exec.check_cancelled()?;
         }
-        emitted.fetch_add(out.len(), std::sync::atomic::Ordering::Relaxed);
-        Ok(out)
-    })?;
-    let out = concat(parts);
-    exec.check_row_budget(out.len())?;
-    Ok(out)
-}
-
-/// Parallel index nested-loop join: outer rows are probed in morsels,
-/// each worker holding its own compiled expressions and reading the
-/// shared index. Morsel-order concatenation keeps the serial output.
-#[allow(clippy::too_many_arguments)]
-fn index_nl_join_parallel(
-    exec: &Executor,
-    lrows: Vec<Tuple>,
-    kind: JoinType,
-    table: &str,
-    column: usize,
-    key: &ScalarExpr,
-    inner_filter: Option<&ScalarExpr>,
-    inner_project: Option<Vec<usize>>,
-    residual: Option<&ScalarExpr>,
-    nl: usize,
-    schema_len: usize,
-    out_slots: Option<Vec<usize>>,
-    dop: usize,
-) -> Result<Vec<Tuple>> {
-    let catalog = exec.catalog_arc();
-    let outer = exec.outer_stack();
-    let lrows = Arc::new(lrows);
-    let total = lrows.len();
-    let table = table.to_string();
-    let key = key.clone();
-    let inner_filter = inner_filter.cloned();
-    let residual = residual.cloned();
-    let inner_width = inner_project.as_ref().map_or(schema_len, Vec::len);
-    // Shared budget counter, same scheme as hash_join_parallel.
-    let emitted = Arc::new(std::sync::atomic::AtomicUsize::new(0));
-
-    let ctx = exec.context().clone();
-    let sub_ctx = ctx.clone();
-    let parts = map_morsels(&ctx, dop, total, move |range| {
-        let sub = Executor::new(Arc::clone(&catalog)).with_context(sub_ctx.clone());
-        let done_elsewhere = emitted.load(std::sync::atomic::Ordering::Relaxed);
-        let t = sub.catalog().table(&table)?;
-        let index = t.index_on(column);
-        let key_expr = CompiledExpr::compile(&sub, &key);
-        let inner_filter_c = inner_filter
-            .as_ref()
-            .map(|f| CompiledExpr::compile(&sub, f));
-        let residual_c = residual.as_ref().map(|r| CompiledExpr::compile(&sub, r));
-        let right_nulls = Tuple::nulls(inner_width);
-        let out_slots = out_slots.as_deref();
-        let mut linear: Vec<usize> = Vec::new();
-        let mut out = Vec::new();
-        // no-cancel: morsel body (≤ MORSEL_ROWS rows); map_morsels checks
-        // per claim.
-        for l in &lrows[range] {
-            let lenv = Env::new(l, &outer);
-            let key_val = key_expr.eval(&sub, &lenv)?;
-            let mut matched = false;
-            if !key_val.is_null() {
-                let candidates: &[usize] = match index {
-                    Some(idx) => idx.lookup(&key_val),
-                    None => {
-                        linear.clear();
-                        // no-cancel: index-vanished fallback scan; claims
-                        // check per morsel.
-                        for (i, row) in t.rows().iter().enumerate() {
-                            if !row.get(column).is_null() && row.get(column) == &key_val {
-                                linear.push(i);
-                            }
-                        }
-                        &linear
-                    }
-                };
-                // no-cancel: candidate walk; emission calls
-                // check_row_budget, claims check per morsel.
-                for &ri in candidates {
-                    let base = &t.rows()[ri];
-                    if let Some(f) = &inner_filter_c {
-                        let env = Env::new(base, &outer);
-                        if f.eval_bool(&sub, &env)? != Some(true) {
-                            continue;
-                        }
-                    }
-                    let inner_row = match &inner_project {
-                        Some(slots) => base.project(slots),
-                        None => base.clone(),
-                    };
-                    let mut combined = None;
-                    if let Some(pred) = &residual_c {
-                        let c = l.concat(&inner_row);
-                        let env = Env::new(&c, &outer);
-                        if pred.eval_bool(&sub, &env)? != Some(true) {
-                            continue;
-                        }
-                        combined = Some(c);
-                    }
-                    matched = true;
-                    match kind {
-                        JoinType::Semi | JoinType::Anti => {}
-                        _ => out.push(emit_row(l, &inner_row, nl, combined, out_slots)),
-                    }
-                    sub.check_row_budget(done_elsewhere + out.len())?;
-                    if matches!(kind, JoinType::Semi) {
-                        break;
-                    }
-                }
-            }
-            match kind {
-                JoinType::Semi if matched => out.push(emit_left(l, out_slots)),
-                JoinType::Anti if !matched => out.push(emit_left(l, out_slots)),
-                JoinType::Left if !matched => {
-                    out.push(emit_row(l, &right_nulls, nl, None, out_slots));
-                }
-                _ => {}
-            }
+        if !matched[i] {
+            out.push(emit_row(&left_nulls, r, nl, None, out_slots));
         }
-        emitted.fetch_add(out.len(), std::sync::atomic::Ordering::Relaxed);
-        Ok(out)
-    })?;
-    let out = concat(parts);
-    exec.check_row_budget(out.len())?;
-    Ok(out)
+    }
+    Ok(())
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -1042,73 +816,45 @@ fn nested_loop(
     nl: usize,
     nr: usize,
     kind: JoinType,
-    condition: Option<&perm_algebra::expr::ScalarExpr>,
+    condition: Option<&ScalarExpr>,
     out_slots: Option<&[usize]>,
 ) -> Result<Vec<Tuple>> {
     let outer = exec.outer_stack();
     let condition = condition.map(|c| CompiledExpr::compile(exec, c));
-    let right_nulls = Tuple::nulls(nr);
+    let joiner = RowJoiner {
+        exec,
+        outer: &outer,
+        kind,
+        nl,
+        residual: condition.as_ref(),
+        out_slots,
+        right_nulls: Tuple::nulls(nr),
+    };
     let mut right_matched = vec![false; rrows.len()];
     let mut out = Vec::new();
     let mut pairs = 0usize;
     for l in &lrows {
-        // Masked cancellation check per 4096 evaluated pairs (the inner
-        // loop advances the same counter, so the quadratic worst case
-        // still observes cancellation promptly).
+        // Masked cancellation check per 4096 evaluated pairs (the
+        // partner walk advances the same counter, so the quadratic worst
+        // case still observes cancellation promptly).
         if pairs.is_multiple_of(4096) {
             exec.check_cancelled()?;
         }
-        let mut matched = false;
-        for (ri, r) in rrows.iter().enumerate() {
+        let partners = rrows.iter().enumerate().map(|(ri, r)| {
             if pairs.is_multiple_of(4096) {
                 exec.check_cancelled()?;
             }
             pairs += 1;
-            let mut combined = None;
-            let ok = match &condition {
-                None => true,
-                Some(c) => {
-                    let row = l.concat(r);
-                    let env = Env::new(&row, &outer);
-                    let ok = c.eval_bool(exec, &env)? == Some(true);
-                    combined = Some(row);
-                    ok
-                }
-            };
-            if !ok {
-                continue;
-            }
-            matched = true;
-            right_matched[ri] = true;
-            match kind {
-                JoinType::Semi | JoinType::Anti => {}
-                _ => out.push(emit_row(l, r, nl, combined, out_slots)),
-            }
-            exec.check_row_budget(out.len())?;
-            if matches!(kind, JoinType::Semi) {
-                break;
-            }
-        }
-        match kind {
-            JoinType::Semi if matched => out.push(emit_left(l, out_slots)),
-            JoinType::Anti if !matched => out.push(emit_left(l, out_slots)),
-            JoinType::Left | JoinType::Full if !matched => {
-                out.push(emit_row(l, &right_nulls, nl, None, out_slots));
-            }
-            _ => {}
-        }
+            Ok((ri, r))
+        });
+        let emit = |row| {
+            out.push(row);
+            exec.check_row_budget(out.len())
+        };
+        joiner.join_row(l, true, partners, |ri| right_matched[ri] = true, emit)?;
     }
     if matches!(kind, JoinType::Full) {
-        let left_nulls = Tuple::nulls(nl);
-        for (i, r) in rrows.iter().enumerate() {
-            // Masked cancellation check per 4096 epilogue rows.
-            if i % 4096 == 0 {
-                exec.check_cancelled()?;
-            }
-            if !right_matched[i] {
-                out.push(emit_row(&left_nulls, r, nl, None, out_slots));
-            }
-        }
+        pad_unmatched_right(exec, &rrows, &right_matched, nl, out_slots, &mut out)?;
     }
     Ok(out)
 }

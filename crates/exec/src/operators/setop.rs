@@ -1,26 +1,24 @@
-//! Set operations with both set (`DISTINCT`) and bag (`ALL`) semantics.
+//! Set operations with both set (`DISTINCT`) and bag (`ALL`) semantics,
+//! and duplicate elimination (`DISTINCT`).
 //!
 //! Tuple equality here is grouping equality (NULL == NULL), matching SQL's
 //! treatment of NULLs in set operations.
 
-use std::sync::Arc;
-
-use perm_storage::SpillPartitions;
 use perm_types::hash::{set_with_capacity, FxHashMap, FxHashSet};
 use perm_types::{QueryContext, Result, Tuple};
 
 use perm_algebra::plan::SetOpType;
 
+use super::partition::{by_row_hash, place, KernelRow, Placement, Retained};
 use crate::executor::Executor;
-use crate::memory::{grow_batched, MemoryReservation};
-use crate::parallel::{map_chunks, partition_of, run_workers};
+use crate::physical::PhysicalPlan;
 
 pub fn run_setop(
     exec: &Executor,
     op: SetOpType,
     all: bool,
-    left: &crate::physical::PhysicalPlan,
-    right: &crate::physical::PhysicalPlan,
+    left: &PhysicalPlan,
+    right: &PhysicalPlan,
     dop: usize,
     spill: Option<usize>,
 ) -> Result<Vec<Tuple>> {
@@ -34,415 +32,209 @@ pub fn run_setop(
         return Ok(out);
     }
     // Every other variant hashes both sides, so the whole input is
-    // charged up front; a denial switches to the partitioned on-disk
-    // strategy instead of failing.
-    let reservation = exec.memory().register("HashSetOp");
-    if let Err(denied) = grow_batched(
-        &reservation,
-        l.iter().chain(r.iter()).map(Tuple::size_bytes),
-    ) {
-        reservation.free();
-        let Some(parts) = spill else {
-            return Err(denied.into_error());
-        };
-        return setop_spill(exec.context(), l, r, op, all, parts, &reservation);
+    // charged up front; a denial switches to spill partitions instead of
+    // failing.
+    let res = exec.memory().register("HashSetOp");
+    match place(&res, l.iter().chain(&r).map(Tuple::size_bytes), dop, spill)? {
+        Placement::Serial => set_kernel(
+            exec.context(),
+            op,
+            all,
+            l.into_iter().map(Ok),
+            r.into_iter().map(Ok),
+            &mut Retained::default(),
+        ),
+        // Equal tuples land in the same partition, so each partition runs
+        // the kernel independently over rows tagged with their position
+        // (`l` before `r`).
+        Placement::Parts(parts) => {
+            by_row_hash(exec.context(), parts, [l, r], move |ctx, [l, r], mem| {
+                set_kernel(ctx, op, all, l, r, mem)
+            })
+        }
     }
-    if dop > 1 {
-        return setop_parallel(exec.context(), l, r, op, all, dop);
+}
+
+pub fn run_distinct(
+    exec: &Executor,
+    input: &PhysicalPlan,
+    dop: usize,
+    spill: Option<usize>,
+) -> Result<Vec<Tuple>> {
+    let rows = exec.run_physical(input)?;
+    // The dedup set holds (at worst) every input row: charge input bytes.
+    let res = exec.memory().register("HashDistinct");
+    match place(&res, rows.iter().map(Tuple::size_bytes), dop, spill)? {
+        Placement::Serial => dedup(
+            exec.context(),
+            rows.into_iter().map(Ok),
+            &mut Retained::default(),
+        ),
+        Placement::Parts(parts) => {
+            by_row_hash(exec.context(), parts, [rows], |ctx, [rows], mem| {
+                dedup(ctx, rows, mem)
+            })
+        }
     }
-    Ok(match (op, all) {
-        (SetOpType::Union, true) => unreachable!("append handled above"),
-        (SetOpType::Union, false) => {
+}
+
+/// The set/bag kernel of every hashed set operation (UNION ALL is a
+/// plain append and never gets here): `l op r`, emitting surviving rows
+/// in input order, `l` before `r`. The hashed rows are charged to `mem`;
+/// `l` streams through otherwise.
+fn set_kernel<R: KernelRow>(
+    ctx: &QueryContext,
+    op: SetOpType,
+    all: bool,
+    l: impl Iterator<Item = Result<R>>,
+    r: impl Iterator<Item = Result<R>>,
+    mem: &mut Retained<'_>,
+) -> Result<Vec<R>> {
+    debug_assert!(
+        !(matches!(op, SetOpType::Union) && all),
+        "append has no kernel"
+    );
+    let keep_matches = matches!(op, SetOpType::Intersect);
+    let mut out = Vec::new();
+    match (op, all) {
+        (SetOpType::Union, _) => {
             // Single-probe insert: UNION inputs are mostly distinct, so
             // one hash plus a refcount-bump clone beats a double probe.
-            let mut seen = set_with_capacity(l.len() + r.len());
-            let mut out = Vec::new();
-            for (i, t) in l.into_iter().chain(r).enumerate() {
+            let mut seen = set_with_capacity(l.size_hint().0 + r.size_hint().0);
+            for (i, t) in l.chain(r).enumerate() {
                 // Masked cancellation check per 4096 rows.
                 if i % 4096 == 0 {
-                    exec.check_cancelled()?;
+                    ctx.check()?;
                 }
-                if seen.insert(t.clone()) {
+                let t = t?;
+                if seen.insert(t.row().clone()) {
+                    mem.keep(|| t.row().size_bytes())?;
                     out.push(t);
                 }
             }
-            out
         }
-        (SetOpType::Intersect, false) => {
-            let rset: FxHashSet<Tuple> = r.into_iter().collect();
-            let mut seen = FxHashSet::default();
-            l.into_iter()
-                .filter(|t| rset.contains(t) && seen.insert(t.clone()))
-                .collect()
-        }
-        (SetOpType::Intersect, true) => {
-            // Bag intersection: each tuple appears min(countL, countR) times.
-            let mut rcount: FxHashMap<Tuple, usize> = FxHashMap::default();
-            for (i, t) in r.into_iter().enumerate() {
+        (_, false) => {
+            // INTERSECT keeps the first occurrence of every `l` row found
+            // in `r`, EXCEPT of every row not found.
+            let mut rset = set_with_capacity(r.size_hint().0);
+            for (i, t) in r.enumerate() {
                 // Masked cancellation check per 4096 rows.
                 if i % 4096 == 0 {
-                    exec.check_cancelled()?;
+                    ctx.check()?;
                 }
+                let t = t?.into_row();
+                mem.keep(|| t.size_bytes())?;
+                rset.insert(t);
+            }
+            let mut seen = FxHashSet::default();
+            for (i, t) in l.enumerate() {
+                // Masked cancellation check per 4096 rows.
+                if i % 4096 == 0 {
+                    ctx.check()?;
+                }
+                let t = t?;
+                if rset.contains(t.row()) == keep_matches && seen.insert(t.row().clone()) {
+                    mem.keep(|| t.row().size_bytes())?;
+                    out.push(t);
+                }
+            }
+        }
+        (_, true) => {
+            // Bag semantics: each `l` row consumes one matching `r` row.
+            // INTERSECT ALL keeps the consuming rows (min(countL, countR)
+            // copies), EXCEPT ALL the rest (countL - countR copies).
+            let mut rcount: FxHashMap<Tuple, usize> = FxHashMap::default();
+            for (i, t) in r.enumerate() {
+                // Masked cancellation check per 4096 rows.
+                if i % 4096 == 0 {
+                    ctx.check()?;
+                }
+                let t = t?.into_row();
+                mem.keep(|| t.size_bytes())?;
                 *rcount.entry(t).or_insert(0) += 1;
             }
-            let mut out = Vec::new();
-            for (i, t) in l.into_iter().enumerate() {
+            for (i, t) in l.enumerate() {
                 // Masked cancellation check per 4096 rows.
                 if i % 4096 == 0 {
-                    exec.check_cancelled()?;
+                    ctx.check()?;
                 }
-                if let Some(c) = rcount.get_mut(&t) {
-                    if *c > 0 {
+                let t = t?;
+                let consumed = match rcount.get_mut(t.row()) {
+                    Some(c) if *c > 0 => {
                         *c -= 1;
-                        out.push(t);
+                        true
                     }
+                    _ => false,
+                };
+                if consumed == keep_matches {
+                    out.push(t);
                 }
             }
-            out
-        }
-        (SetOpType::Except, false) => {
-            let rset: FxHashSet<Tuple> = r.into_iter().collect();
-            let mut seen = FxHashSet::default();
-            l.into_iter()
-                .filter(|t| !rset.contains(t) && seen.insert(t.clone()))
-                .collect()
-        }
-        (SetOpType::Except, true) => {
-            // Bag difference: countL - countR occurrences survive.
-            let mut rcount: FxHashMap<Tuple, usize> = FxHashMap::default();
-            for (i, t) in r.into_iter().enumerate() {
-                // Masked cancellation check per 4096 rows.
-                if i % 4096 == 0 {
-                    exec.check_cancelled()?;
-                }
-                *rcount.entry(t).or_insert(0) += 1;
-            }
-            let mut out = Vec::new();
-            for (i, t) in l.into_iter().enumerate() {
-                // Masked cancellation check per 4096 rows.
-                if i % 4096 == 0 {
-                    exec.check_cancelled()?;
-                }
-                match rcount.get_mut(&t) {
-                    Some(c) if *c > 0 => *c -= 1,
-                    _ => out.push(t),
-                }
-            }
-            out
-        }
-    })
-}
-
-/// Hash-partitioned parallel set operation. Equal tuples land in the
-/// same partition, so each partition runs the serial set/bag logic
-/// independently over rows tagged with their global position (`l` before
-/// `r`); the final index sort restores exactly the serial output order.
-fn setop_parallel(
-    ctx: &QueryContext,
-    l: Vec<Tuple>,
-    r: Vec<Tuple>,
-    op: SetOpType,
-    all: bool,
-    dop: usize,
-) -> Result<Vec<Tuple>> {
-    let roffset = l.len();
-    let lparts = Arc::new(partition_tagged(ctx, l, 0, dop)?);
-    let rparts = Arc::new(partition_tagged(ctx, r, roffset, dop)?);
-
-    let kept = {
-        let lparts = Arc::clone(&lparts);
-        let rparts = Arc::clone(&rparts);
-        let ctx = ctx.clone();
-        run_workers(dop, move |p| -> Result<Vec<(usize, Tuple)>> {
-            let lp = &lparts[p];
-            let rp = &rparts[p];
-            let mut out: Vec<(usize, Tuple)> = Vec::new();
-            match (op, all) {
-                (SetOpType::Union, true) => unreachable!("append is not partitioned"),
-                (SetOpType::Union, false) => {
-                    let mut seen = set_with_capacity(lp.len() + rp.len());
-                    for (k, (i, t)) in lp.iter().chain(rp).enumerate() {
-                        // Masked cancellation check per 4096 rows.
-                        if k % 4096 == 0 {
-                            ctx.check()?;
-                        }
-                        if seen.insert(t.clone()) {
-                            out.push((*i, t.clone()));
-                        }
-                    }
-                }
-                (SetOpType::Intersect, false) => {
-                    let rset: FxHashSet<&Tuple> = rp.iter().map(|(_, t)| t).collect();
-                    let mut seen = FxHashSet::default();
-                    for (k, (i, t)) in lp.iter().enumerate() {
-                        // Masked cancellation check per 4096 rows.
-                        if k % 4096 == 0 {
-                            ctx.check()?;
-                        }
-                        if rset.contains(t) && seen.insert(t.clone()) {
-                            out.push((*i, t.clone()));
-                        }
-                    }
-                }
-                (SetOpType::Intersect, true) => {
-                    let mut rcount: FxHashMap<&Tuple, usize> = FxHashMap::default();
-                    for (k, (_, t)) in rp.iter().enumerate() {
-                        // Masked cancellation check per 4096 rows.
-                        if k % 4096 == 0 {
-                            ctx.check()?;
-                        }
-                        *rcount.entry(t).or_insert(0) += 1;
-                    }
-                    for (k, (i, t)) in lp.iter().enumerate() {
-                        // Masked cancellation check per 4096 rows.
-                        if k % 4096 == 0 {
-                            ctx.check()?;
-                        }
-                        if let Some(c) = rcount.get_mut(t) {
-                            if *c > 0 {
-                                *c -= 1;
-                                out.push((*i, t.clone()));
-                            }
-                        }
-                    }
-                }
-                (SetOpType::Except, false) => {
-                    let rset: FxHashSet<&Tuple> = rp.iter().map(|(_, t)| t).collect();
-                    let mut seen = FxHashSet::default();
-                    for (k, (i, t)) in lp.iter().enumerate() {
-                        // Masked cancellation check per 4096 rows.
-                        if k % 4096 == 0 {
-                            ctx.check()?;
-                        }
-                        if !rset.contains(t) && seen.insert(t.clone()) {
-                            out.push((*i, t.clone()));
-                        }
-                    }
-                }
-                (SetOpType::Except, true) => {
-                    let mut rcount: FxHashMap<&Tuple, usize> = FxHashMap::default();
-                    for (k, (_, t)) in rp.iter().enumerate() {
-                        // Masked cancellation check per 4096 rows.
-                        if k % 4096 == 0 {
-                            ctx.check()?;
-                        }
-                        *rcount.entry(t).or_insert(0) += 1;
-                    }
-                    for (k, (i, t)) in lp.iter().enumerate() {
-                        // Masked cancellation check per 4096 rows.
-                        if k % 4096 == 0 {
-                            ctx.check()?;
-                        }
-                        match rcount.get_mut(t) {
-                            Some(c) if *c > 0 => *c -= 1,
-                            _ => out.push((*i, t.clone())),
-                        }
-                    }
-                }
-            }
-            Ok(out)
-        })?
-    };
-    let mut all_rows: Vec<(usize, Tuple)> = Vec::new();
-    // no-cancel: reassembly of already-computed partition outputs.
-    for part in kept {
-        all_rows.extend(part?);
-    }
-    all_rows.sort_unstable_by_key(|(i, _)| *i);
-    Ok(all_rows.into_iter().map(|(_, t)| t).collect())
-}
-
-/// Hash-partition `rows` into `parts` buckets in parallel, tagging each
-/// row with `offset +` its input position. Buckets come back sorted by
-/// tag (chunks are contiguous and merge in chunk order).
-fn partition_tagged(
-    ctx: &QueryContext,
-    rows: Vec<Tuple>,
-    offset: usize,
-    parts: usize,
-) -> Result<Vec<Vec<(usize, Tuple)>>> {
-    let total = rows.len();
-    let rows = Arc::new(rows);
-    let worker_ctx = ctx.clone();
-    let chunked = map_chunks(ctx, parts, total, move |range| {
-        let mut buckets: Vec<Vec<(usize, Tuple)>> = vec![Vec::new(); parts];
-        for (i, t) in rows[range.clone()].iter().enumerate() {
-            // Masked cancellation check per 4096 scattered rows.
-            if i % 4096 == 0 {
-                worker_ctx.check()?;
-            }
-            buckets[partition_of(t, parts)].push((offset + range.start + i, t.clone()));
-        }
-        Ok(buckets)
-    })?;
-    let mut out: Vec<Vec<(usize, Tuple)>> = vec![Vec::new(); parts];
-    // no-cancel: reassembly of already-computed buckets.
-    for chunk in chunked {
-        // no-cancel: bounded by the partition count.
-        for (p, items) in chunk.into_iter().enumerate() {
-            out[p].extend(items);
         }
     }
     Ok(out)
 }
 
-/// Spilled set operation: the on-disk mirror of [`setop_parallel`].
-/// Both sides scatter to partition files by row hash, tagged with their
-/// global position (`l` before `r`); each partition loads back (charged
-/// to the per-query cap only) and runs the serial set/bag logic, and the
-/// final tag sort restores the serial output order exactly.
-fn setop_spill(
+/// The dedup kernel of DISTINCT: the first occurrence of every row, in
+/// input order. Only the kept rows are charged to `mem`.
+fn dedup<R: KernelRow>(
     ctx: &QueryContext,
-    l: Vec<Tuple>,
-    r: Vec<Tuple>,
-    op: SetOpType,
-    all: bool,
-    parts: usize,
-    res: &MemoryReservation,
-) -> Result<Vec<Tuple>> {
-    debug_assert!(
-        !(matches!(op, SetOpType::Union) && all),
-        "append never spills"
-    );
-    let roffset = l.len() as u64;
-    let mut lfiles = SpillPartitions::create(parts)?;
-    for (i, t) in l.iter().enumerate() {
-        // Masked cancellation check per 4096 scattered rows.
+    rows: impl Iterator<Item = Result<R>>,
+    mem: &mut Retained<'_>,
+) -> Result<Vec<R>> {
+    let mut seen = set_with_capacity(rows.size_hint().0);
+    let mut out = Vec::new();
+    for (i, t) in rows.enumerate() {
+        // Masked cancellation check per 4096 rows.
         if i % 4096 == 0 {
             ctx.check()?;
         }
-        lfiles.push(partition_of(t, parts), i as u64, t)?;
-    }
-    drop(l);
-    let mut rfiles = SpillPartitions::create(parts)?;
-    for (i, t) in r.iter().enumerate() {
-        // Masked cancellation check per 4096 scattered rows.
-        if i % 4096 == 0 {
-            ctx.check()?;
+        let t = t?;
+        // Membership first: DISTINCT inputs are duplicate-heavy (that is
+        // what the operator is for), and a duplicate then costs one probe
+        // and no clone. Contrast with UNION above, whose mostly-distinct
+        // inputs make the single-probe insert the better trade.
+        if !seen.contains(t.row()) {
+            mem.keep(|| t.row().size_bytes())?;
+            seen.insert(t.row().clone());
+            out.push(t);
         }
-        rfiles.push(partition_of(t, parts), roffset + i as u64, t)?;
     }
-    drop(r);
+    Ok(out)
+}
 
-    let mut all_rows: Vec<(u64, Tuple)> = Vec::new();
-    for (lreader, rreader) in lfiles
-        .into_readers()?
-        .into_iter()
-        .zip(rfiles.into_readers()?)
-    {
-        // Partition boundary: cancellation point (temp files are cleaned
-        // by the readers' Drop even on the early-return path).
-        ctx.check()?;
-        let mut charged = 0usize;
-        let mut lp: Vec<(u64, Tuple)> = Vec::with_capacity(lreader.remaining());
-        for (k, rec) in lreader.enumerate() {
-            // Masked cancellation check per 4096 reloaded rows.
-            if k % 4096 == 0 {
-                ctx.check()?;
-            }
-            let (tag, row) = rec?;
-            let bytes = row.size_bytes();
-            res.grow_unpooled(bytes)?;
-            charged += bytes;
-            lp.push((tag, row));
-        }
-        let mut rp: Vec<(u64, Tuple)> = Vec::with_capacity(rreader.remaining());
-        for (k, rec) in rreader.enumerate() {
-            // Masked cancellation check per 4096 reloaded rows.
-            if k % 4096 == 0 {
-                ctx.check()?;
-            }
-            let (tag, row) = rec?;
-            let bytes = row.size_bytes();
-            res.grow_unpooled(bytes)?;
-            charged += bytes;
-            rp.push((tag, row));
-        }
-        match (op, all) {
-            (SetOpType::Union, true) => unreachable!("append is not partitioned"),
-            (SetOpType::Union, false) => {
-                let mut seen = set_with_capacity(lp.len() + rp.len());
-                for (k, (i, t)) in lp.iter().chain(&rp).enumerate() {
-                    // Masked cancellation check per 4096 rows.
-                    if k % 4096 == 0 {
-                        ctx.check()?;
-                    }
-                    if seen.insert(t.clone()) {
-                        all_rows.push((*i, t.clone()));
-                    }
-                }
-            }
-            (SetOpType::Intersect, false) => {
-                let rset: FxHashSet<&Tuple> = rp.iter().map(|(_, t)| t).collect();
-                let mut seen = FxHashSet::default();
-                for (k, (i, t)) in lp.iter().enumerate() {
-                    // Masked cancellation check per 4096 rows.
-                    if k % 4096 == 0 {
-                        ctx.check()?;
-                    }
-                    if rset.contains(t) && seen.insert(t.clone()) {
-                        all_rows.push((*i, t.clone()));
-                    }
-                }
-            }
-            (SetOpType::Intersect, true) => {
-                let mut rcount: FxHashMap<&Tuple, usize> = FxHashMap::default();
-                for (k, (_, t)) in rp.iter().enumerate() {
-                    // Masked cancellation check per 4096 rows.
-                    if k % 4096 == 0 {
-                        ctx.check()?;
-                    }
-                    *rcount.entry(t).or_insert(0) += 1;
-                }
-                for (k, (i, t)) in lp.iter().enumerate() {
-                    // Masked cancellation check per 4096 rows.
-                    if k % 4096 == 0 {
-                        ctx.check()?;
-                    }
-                    if let Some(c) = rcount.get_mut(t) {
-                        if *c > 0 {
-                            *c -= 1;
-                            all_rows.push((*i, t.clone()));
-                        }
-                    }
-                }
-            }
-            (SetOpType::Except, false) => {
-                let rset: FxHashSet<&Tuple> = rp.iter().map(|(_, t)| t).collect();
-                let mut seen = FxHashSet::default();
-                for (k, (i, t)) in lp.iter().enumerate() {
-                    // Masked cancellation check per 4096 rows.
-                    if k % 4096 == 0 {
-                        ctx.check()?;
-                    }
-                    if !rset.contains(t) && seen.insert(t.clone()) {
-                        all_rows.push((*i, t.clone()));
-                    }
-                }
-            }
-            (SetOpType::Except, true) => {
-                let mut rcount: FxHashMap<&Tuple, usize> = FxHashMap::default();
-                for (k, (_, t)) in rp.iter().enumerate() {
-                    // Masked cancellation check per 4096 rows.
-                    if k % 4096 == 0 {
-                        ctx.check()?;
-                    }
-                    *rcount.entry(t).or_insert(0) += 1;
-                }
-                for (k, (i, t)) in lp.iter().enumerate() {
-                    // Masked cancellation check per 4096 rows.
-                    if k % 4096 == 0 {
-                        ctx.check()?;
-                    }
-                    match rcount.get_mut(t) {
-                        Some(c) if *c > 0 => *c -= 1,
-                        _ => all_rows.push((*i, t.clone())),
-                    }
-                }
-            }
-        }
-        res.shrink(charged);
+#[cfg(test)]
+mod tests {
+    use super::super::partition::Parts;
+    use super::*;
+    use crate::memory::{MemoryPool, QueryMemory};
+    use perm_types::Value;
+
+    fn rows(vals: &[i64]) -> Vec<Tuple> {
+        vals.iter()
+            .map(|&v| Tuple::new(vec![Value::Int(v), Value::Int(v % 3)]))
+            .collect()
     }
-    all_rows.sort_unstable_by_key(|(i, _)| *i);
-    Ok(all_rows.into_iter().map(|(_, t)| t).collect())
+
+    fn spilled_distinct(input: Vec<Tuple>) -> Vec<Tuple> {
+        let q = QueryMemory::new(MemoryPool::with_budget(1), None);
+        let r = q.register("test");
+        let got = by_row_hash(
+            &QueryContext::detached(),
+            Parts::Spill(3, &r),
+            [input],
+            |ctx, [rows], mem| dedup(ctx, rows, mem),
+        )
+        .unwrap();
+        assert_eq!(r.size(), 0, "working memory fully released");
+        assert_eq!(q.spill_files(), 0, "every spill file deleted");
+        got
+    }
+
+    #[test]
+    fn spilled_distinct_keeps_first_occurrence_order() {
+        let got = spilled_distinct(rows(&[4, 1, 4, 2, 1, 3, 2, 4]));
+        assert_eq!(got, rows(&[4, 1, 2, 3]));
+        assert!(spilled_distinct(Vec::new()).is_empty());
+    }
 }

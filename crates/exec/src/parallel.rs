@@ -47,7 +47,6 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
-use perm_types::hash::FxHasher;
 use perm_types::{PermError, QueryContext, Result, Tuple};
 
 /// Rows per morsel. Small enough that `LIMIT` over an exchange stops
@@ -425,25 +424,12 @@ where
     Ok(out)
 }
 
-/// Partition index of a tuple: high hash bits, so the per-partition hash
-/// tables built afterwards (which consume the *low* bits for buckets)
-/// don't lose entropy to the partitioning.
-pub(crate) fn partition_of(t: &Tuple, partitions: usize) -> usize {
-    use std::hash::{Hash, Hasher};
-    let mut h = FxHasher::default();
-    t.hash(&mut h);
-    ((h.finish() >> 32) as usize) % partitions
-}
-
 // ----------------------------------------------------------------------
-// Parallel operators: scan, sort, distinct
+// Parallel scan
 // ----------------------------------------------------------------------
 
 use perm_algebra::expr::ScalarExpr;
-use perm_algebra::plan::SortKey;
-use perm_types::Value;
 
-use crate::compile::CompiledExpr;
 use crate::executor::Executor;
 
 /// Morsel-parallel `FusedScanProjectFilter`: workers claim row ranges of
@@ -491,164 +477,6 @@ pub(crate) fn concat(parts: Vec<Vec<Tuple>>) -> Vec<Tuple> {
         out.extend(p);
     }
     out
-}
-
-/// The sort comparator over precomputed key rows — the single
-/// definition of sort order, shared by the serial path
-/// ([`Executor::run_physical`]) and the parallel chunk sort + merge so
-/// the two can never drift apart.
-pub(crate) fn cmp_keys(a: &[Value], b: &[Value], keys: &[SortKey]) -> std::cmp::Ordering {
-    // no-cancel: bounded by the (tiny) sort-key count.
-    for (i, k) in keys.iter().enumerate() {
-        let ord = a[i].sort_cmp(&b[i]);
-        let ord = if k.desc { ord.reverse() } else { ord };
-        if ord != std::cmp::Ordering::Equal {
-            return ord;
-        }
-    }
-    std::cmp::Ordering::Equal
-}
-
-/// Parallel sort: workers key and stably sort contiguous chunks, then a
-/// serial k-way merge (ties resolved toward the earlier chunk) rebuilds
-/// exactly the order the serial stable sort produces.
-pub(crate) fn sort_parallel(
-    exec: &Executor,
-    rows: Vec<Tuple>,
-    keys: &[SortKey],
-    dop: usize,
-    allow_batch: bool,
-) -> Result<Vec<Tuple>> {
-    let total = rows.len();
-    let rows = Arc::new(rows);
-    let catalog = exec.catalog_arc();
-    let outer = exec.outer_stack();
-    let keys_owned: Arc<Vec<SortKey>> = Arc::new(keys.to_vec());
-    let columnar = exec.columnar();
-    let ctx = exec.context().clone();
-    let chunks = {
-        let rows = Arc::clone(&rows);
-        let keys = Arc::clone(&keys_owned);
-        let sub_ctx = ctx.clone();
-        map_chunks(&ctx, dop, total, move |range| {
-            let sub = Executor::new(Arc::clone(&catalog))
-                .with_columnar(columnar)
-                .with_context(sub_ctx.clone());
-            let compiled: Vec<CompiledExpr> = keys
-                .iter()
-                .map(|k| CompiledExpr::compile(&sub, &k.expr))
-                .collect();
-            let key_rows =
-                sub.compute_keys(&rows[range.clone()], &compiled, &outer, allow_batch)?;
-            let mut keyed: Vec<(Vec<Value>, Tuple)> = key_rows
-                .into_iter()
-                .zip(rows[range].iter().cloned())
-                .collect();
-            keyed.sort_by(|(a, _), (b, _)| cmp_keys(a, b, &keys));
-            Ok(keyed)
-        })?
-    };
-
-    // Stable k-way merge: smallest key wins, ties take the earlier chunk
-    // (chunks are contiguous, so this reproduces the stable serial
-    // order). The chunk count is small (≤ dop), so a linear scan of the
-    // heads beats heap bookkeeping.
-    let mut heads: Vec<usize> = vec![0; chunks.len()];
-    let mut out = Vec::with_capacity(total);
-    loop {
-        // Masked cancellation check: once per 4096 merged rows keeps the
-        // hot merge loop cheap while still bounding cancel latency.
-        if out.len() % 4096 == 0 {
-            ctx.check()?;
-        }
-        let mut best: Option<usize> = None;
-        // no-cancel: head scan, bounded by dop.
-        for (c, chunk) in chunks.iter().enumerate() {
-            if heads[c] >= chunk.len() {
-                continue;
-            }
-            best = match best {
-                None => Some(c),
-                Some(b) => {
-                    let (bk, _) = &chunks[b][heads[b]];
-                    let (ck, _) = &chunk[heads[c]];
-                    if cmp_keys(ck, bk, keys) == std::cmp::Ordering::Less {
-                        Some(c)
-                    } else {
-                        Some(b)
-                    }
-                }
-            };
-        }
-        let Some(c) = best else { break };
-        let (_, t) = &chunks[c][heads[c]];
-        out.push(t.clone());
-        heads[c] += 1;
-    }
-    drop(chunks);
-    Ok(out)
-}
-
-/// Hash-partitioned parallel DISTINCT. Phase 1 buckets contiguous chunks
-/// by tuple hash (tagging each row with its global index); phase 2
-/// dedups every partition independently, keeping the first occurrence by
-/// global index; the final index sort restores exactly the serial
-/// first-occurrence output order.
-pub(crate) fn distinct_parallel(
-    ctx: &QueryContext,
-    rows: Vec<Tuple>,
-    dop: usize,
-) -> Result<Vec<Tuple>> {
-    use perm_types::hash::FxHashSet;
-
-    let total = rows.len();
-    let rows = Arc::new(rows);
-    let buckets = {
-        let rows = Arc::clone(&rows);
-        let ctx = ctx.clone();
-        map_chunks(&ctx.clone(), dop, total, move |range| {
-            let mut parts: Vec<Vec<(usize, Tuple)>> = vec![Vec::new(); dop];
-            for (i, t) in rows[range.clone()].iter().enumerate() {
-                // Masked cancellation check per 4096 scattered rows.
-                if i % 4096 == 0 {
-                    ctx.check()?;
-                }
-                parts[partition_of(t, dop)].push((range.start + i, t.clone()));
-            }
-            Ok(parts)
-        })?
-    };
-    let buckets = Arc::new(buckets);
-    let deduped = {
-        let buckets = Arc::clone(&buckets);
-        let ctx = ctx.clone();
-        run_workers(dop, move |p| -> Result<Vec<(usize, Tuple)>> {
-            let mut seen: FxHashSet<Tuple> = FxHashSet::default();
-            let mut kept: Vec<(usize, Tuple)> = Vec::new();
-            let mut scanned = 0usize;
-            for chunk in buckets.iter() {
-                for (idx, t) in &chunk[p] {
-                    // Masked cancellation check per 4096 probed rows.
-                    if scanned.is_multiple_of(4096) {
-                        ctx.check()?;
-                    }
-                    scanned += 1;
-                    if !seen.contains(t) {
-                        seen.insert(t.clone());
-                        kept.push((*idx, t.clone()));
-                    }
-                }
-            }
-            Ok(kept)
-        })?
-    };
-    let mut all: Vec<(usize, Tuple)> = Vec::new();
-    // no-cancel: reassembly of already-computed partition outputs.
-    for part in deduped {
-        all.extend(part?);
-    }
-    all.sort_unstable_by_key(|(idx, _)| *idx);
-    Ok(all.into_iter().map(|(_, t)| t).collect())
 }
 
 #[cfg(test)]

@@ -904,6 +904,12 @@ pub struct PhysicalPlanner<'a> {
     /// takes `&self`). One value per plan keeps the verifier's
     /// spill-consistency invariant trivially true.
     spill_fanout: std::cell::Cell<usize>,
+    /// Rows the consumer will pull from the node being lowered: set by a
+    /// `LIMIT` and carried down through streaming operators (scans,
+    /// filters, projections), cleared by every node that reads its whole
+    /// input first. A scan pipeline under a small goal stays serial: an
+    /// exchange would read a whole morsel to hand out a few rows.
+    row_goal: std::cell::Cell<Option<f64>>,
     /// Stamp [`BatchMode::Batch`] on vectorizable operators (on by
     /// default; off plans everything [`BatchMode::Row`]).
     columnar: bool,
@@ -922,6 +928,7 @@ impl<'a> PhysicalPlanner<'a> {
             max_parallelism: auto_parallelism(),
             parallel_threshold: DEFAULT_PARALLEL_THRESHOLD,
             spill_fanout: std::cell::Cell::new(SPILL_PARTITIONS),
+            row_goal: std::cell::Cell::new(None),
             columnar: true,
         }
     }
@@ -969,6 +976,14 @@ impl<'a> PhysicalPlanner<'a> {
         let per_worker = (self.parallel_threshold / 2).max(1);
         let cap = self.max_parallelism.min(pool_parallelism()).max(2);
         ((input_rows as usize) / per_worker).clamp(2, cap)
+    }
+
+    /// Input rows a streaming pipeline over `input_rows` (producing an
+    /// estimated `out_rows`) reads before it meets the row goal `goal`.
+    fn goal_rows(input_rows: f64, out_rows: f64, goal: Option<f64>) -> f64 {
+        goal.map_or(input_rows, |g| {
+            input_rows.min(g * input_rows / out_rows.max(1.0))
+        })
     }
 
     /// True if every expression can be evaluated on a worker thread.
@@ -1036,18 +1051,29 @@ impl<'a> PhysicalPlanner<'a> {
             .fold(self.est(plan), f64::max)
     }
 
+    /// Lower `plan` under the row goal `goal` (see `row_goal`).
+    fn plan_with_goal(&self, plan: &LogicalPlan, goal: Option<f64>) -> PhysicalPlan {
+        self.row_goal.set(goal);
+        self.plan_node(plan)
+    }
+
     fn plan_node(&self, plan: &LogicalPlan) -> PhysicalPlan {
+        // Taken, not read: children of blocking nodes plan without a goal.
+        let goal = self.row_goal.take();
         match plan {
             // Boundaries are stripped by the logical pass but lower
             // transparently if a caller plans an unoptimized tree.
-            LogicalPlan::Boundary { input, .. } => self.plan_node(input),
+            LogicalPlan::Boundary { input, .. } => self.plan_with_goal(input, goal),
             LogicalPlan::Scan { table, schema, .. } => PhysicalPlan::FusedScanProjectFilter {
                 table: table.clone(),
                 schema: schema.clone(),
                 filter: None,
                 project: None,
                 est_rows: self.est(plan),
-                dop: self.choose_dop(self.table_rows(table), true),
+                dop: self.choose_dop(
+                    Self::goal_rows(self.table_rows(table), self.est(plan), goal),
+                    true,
+                ),
                 batch: BatchMode::Row,
             },
             LogicalPlan::Values { rows, schema } => PhysicalPlan::Values {
@@ -1055,9 +1081,11 @@ impl<'a> PhysicalPlanner<'a> {
                 arity: schema.len(),
             },
             LogicalPlan::Filter { input, predicate } => {
-                self.plan_filter(input, predicate, None, self.est(plan))
+                self.plan_filter(input, predicate, None, self.est(plan), goal)
             }
-            LogicalPlan::Project { input, exprs, .. } => self.plan_project(input, exprs, plan),
+            LogicalPlan::Project { input, exprs, .. } => {
+                self.plan_project(input, exprs, plan, goal)
+            }
             LogicalPlan::Join {
                 left,
                 right,
@@ -1129,11 +1157,20 @@ impl<'a> PhysicalPlanner<'a> {
                 input,
                 limit,
                 offset,
-            } => PhysicalPlan::Limit {
-                input: Box::new(self.plan_node(input)),
-                limit: *limit,
-                offset: *offset,
-            },
+            } => {
+                // The input must produce the skipped rows, then at most
+                // `limit` of the rows the consumer still wants.
+                let wanted = match (*limit, goal) {
+                    (Some(l), Some(g)) => Some((l as f64).min(g)),
+                    (Some(l), None) => Some(l as f64),
+                    (None, g) => g,
+                };
+                PhysicalPlan::Limit {
+                    input: Box::new(self.plan_with_goal(input, wanted.map(|w| w + *offset as f64))),
+                    limit: *limit,
+                    offset: *offset,
+                }
+            }
         }
     }
 
@@ -1145,6 +1182,7 @@ impl<'a> PhysicalPlanner<'a> {
         predicate: &ScalarExpr,
         project: Option<&[ScalarExpr]>,
         est_rows: f64,
+        goal: Option<f64>,
     ) -> PhysicalPlan {
         if let LogicalPlan::Scan { table, schema, .. } = input {
             // Index point lookup: `col = literal` on an indexed column.
@@ -1161,7 +1199,10 @@ impl<'a> PhysicalPlanner<'a> {
             }
             let mut exprs: Vec<&ScalarExpr> = vec![predicate];
             exprs.extend(project.unwrap_or_default());
-            let dop = self.choose_dop(self.table_rows(table), Self::safe(&exprs));
+            let dop = self.choose_dop(
+                Self::goal_rows(self.table_rows(table), est_rows, goal),
+                Self::safe(&exprs),
+            );
             return PhysicalPlan::FusedScanProjectFilter {
                 table: table.clone(),
                 schema: schema.clone(),
@@ -1172,8 +1213,9 @@ impl<'a> PhysicalPlanner<'a> {
                 batch: BatchMode::Row,
             };
         }
+        let input_goal = goal.map(|g| g * self.est(input) / est_rows.max(1.0));
         let filtered = PhysicalPlan::Filter {
-            input: Box::new(self.plan_node(input)),
+            input: Box::new(self.plan_with_goal(input, input_goal)),
             predicate: predicate.clone(),
             batch: BatchMode::Row,
         };
@@ -1193,13 +1235,14 @@ impl<'a> PhysicalPlanner<'a> {
         input: &LogicalPlan,
         exprs: &[ScalarExpr],
         whole: &LogicalPlan,
+        goal: Option<f64>,
     ) -> PhysicalPlan {
         // An identity projection (slot i ↦ slot i, full width) only
         // renames columns — names live in the logical schema, so the
         // physical operator is dropped entirely.
         if let Some(slots) = slot_only(exprs) {
             if slots.len() == input.arity() && slots.iter().copied().eq(0..input.arity()) {
-                return self.plan_node(input);
+                return self.plan_with_goal(input, goal);
             }
         }
         match input {
@@ -1210,7 +1253,7 @@ impl<'a> PhysicalPlanner<'a> {
                 project: Some(exprs.to_vec()),
                 est_rows: self.est(whole),
                 dop: self.choose_dop(
-                    self.table_rows(table),
+                    Self::goal_rows(self.table_rows(table), self.est(whole), goal),
                     Self::safe(&exprs.iter().collect::<Vec<_>>()),
                 ),
                 batch: BatchMode::Row,
@@ -1219,7 +1262,7 @@ impl<'a> PhysicalPlanner<'a> {
                 input: finput,
                 predicate,
             } if matches!(finput.as_ref(), LogicalPlan::Scan { .. }) => {
-                self.plan_filter(finput, predicate, Some(exprs), self.est(whole))
+                self.plan_filter(finput, predicate, Some(exprs), self.est(whole), goal)
             }
             LogicalPlan::Join {
                 left,
@@ -1247,7 +1290,7 @@ impl<'a> PhysicalPlanner<'a> {
                 }
             }
             other => PhysicalPlan::Project {
-                input: Box::new(self.plan_node(other)),
+                input: Box::new(self.plan_with_goal(other, goal)),
                 exprs: exprs.to_vec(),
                 batch: BatchMode::Row,
             },
@@ -1615,6 +1658,42 @@ mod tests {
             matches!(p, PhysicalPlan::IndexNLJoin { column: 0, .. }),
             "{p:?}"
         );
+    }
+
+    #[test]
+    fn small_row_goal_keeps_a_streaming_scan_serial() {
+        let cat = catalog();
+        let planner = PhysicalPlanner::new(&cat)
+            .max_parallelism(4)
+            .parallel_threshold(100);
+        let limit = |input: LogicalPlan, n: u64| LogicalPlan::Limit {
+            input: Box::new(input),
+            limit: Some(n),
+            offset: 0,
+        };
+        let scan_dop = |p: &PhysicalPlan| match p {
+            PhysicalPlan::Limit { input, .. } => match input.as_ref() {
+                PhysicalPlan::Sort { input, .. } => input.dop(),
+                other => other.dop(),
+            },
+            other => panic!("{other:?}"),
+        };
+        // Without a goal the 1000-row scan is parallel.
+        assert!(planner.plan(&scan(&cat, "big")).dop() > 1);
+        // LIMIT 5 reads a handful of rows: an exchange would read a whole
+        // morsel first, so the scan stays serial.
+        assert_eq!(scan_dop(&planner.plan(&limit(scan(&cat, "big"), 5))), 1);
+        // A large goal still parallelizes.
+        assert!(scan_dop(&planner.plan(&limit(scan(&cat, "big"), 900))) > 1);
+        // A sort reads its whole input whatever the LIMIT above it.
+        let sorted = LogicalPlan::Sort {
+            keys: vec![SortKey {
+                expr: ScalarExpr::Column(1),
+                desc: false,
+            }],
+            input: Box::new(scan(&cat, "big")),
+        };
+        assert!(scan_dop(&planner.plan(&limit(sorted, 5))) > 1);
     }
 
     #[test]

@@ -183,81 +183,7 @@ fn rewrite_bottom_up(plan: LogicalPlan) -> LogicalPlan {
 /// Rebuild the plan bottom-up, applying `f` at every node after its
 /// children were processed.
 fn map_children(plan: LogicalPlan, f: &impl Fn(LogicalPlan) -> LogicalPlan) -> LogicalPlan {
-    let rebuilt = match plan {
-        LogicalPlan::Scan { .. } | LogicalPlan::Values { .. } => plan,
-        LogicalPlan::Project {
-            input,
-            exprs,
-            schema,
-        } => LogicalPlan::Project {
-            input: Box::new(map_children(*input, f)),
-            exprs,
-            schema,
-        },
-        LogicalPlan::Filter { input, predicate } => LogicalPlan::Filter {
-            input: Box::new(map_children(*input, f)),
-            predicate,
-        },
-        LogicalPlan::Join {
-            left,
-            right,
-            kind,
-            condition,
-            schema,
-        } => LogicalPlan::Join {
-            left: Box::new(map_children(*left, f)),
-            right: Box::new(map_children(*right, f)),
-            kind,
-            condition,
-            schema,
-        },
-        LogicalPlan::Aggregate {
-            input,
-            group_by,
-            aggs,
-            schema,
-        } => LogicalPlan::Aggregate {
-            input: Box::new(map_children(*input, f)),
-            group_by,
-            aggs,
-            schema,
-        },
-        LogicalPlan::Distinct { input } => LogicalPlan::Distinct {
-            input: Box::new(map_children(*input, f)),
-        },
-        LogicalPlan::SetOp {
-            op,
-            all,
-            left,
-            right,
-            schema,
-        } => LogicalPlan::SetOp {
-            op,
-            all,
-            left: Box::new(map_children(*left, f)),
-            right: Box::new(map_children(*right, f)),
-            schema,
-        },
-        LogicalPlan::Sort { input, keys } => LogicalPlan::Sort {
-            input: Box::new(map_children(*input, f)),
-            keys,
-        },
-        LogicalPlan::Limit {
-            input,
-            limit,
-            offset,
-        } => LogicalPlan::Limit {
-            input: Box::new(map_children(*input, f)),
-            limit,
-            offset,
-        },
-        LogicalPlan::Boundary { input, name, kind } => LogicalPlan::Boundary {
-            input: Box::new(map_children(*input, f)),
-            name,
-            kind,
-        },
-    };
-    f(rebuilt)
+    f(map_children_once(plan, &mut |child| map_children(child, f)))
 }
 
 /// `Filter(Filter(T, a), b)` → `Filter(T, b AND a)`.
@@ -649,10 +575,6 @@ fn union_refs<'a>(a: &[usize], exprs: impl IntoIterator<Item = &'a ScalarExpr>) 
 /// the sorted original positions it actually outputs.
 fn prune(plan: LogicalPlan, required: &[usize]) -> (LogicalPlan, Vec<usize>) {
     let arity = plan.arity();
-    let full = |plan: LogicalPlan| {
-        let all: Vec<usize> = (0..arity).collect();
-        prune_children_full(plan, all)
-    };
     match plan {
         LogicalPlan::Scan { .. } => {
             if required.len() == arity {
@@ -773,44 +695,25 @@ fn prune(plan: LogicalPlan, required: &[usize]) -> (LogicalPlan, Vec<usize>) {
                 .filter(|&i| i >= nl)
                 .map(|i| i - nl)
                 .collect();
+            let (l, lk) = prune(*left, &left_req);
+            let (r, rk) = prune(*right, &right_req);
+            let nl_new = lk.len();
+            let condition = condition.map(|c| {
+                c.map_columns(&|i| {
+                    if i < nl {
+                        remap_pos(&lk, i)
+                    } else {
+                        nl_new + remap_pos(&rk, i - nl)
+                    }
+                })
+            });
+            let join = LogicalPlan::join(l, r, kind, condition).expect("pruned join stays valid");
             if kind.produces_both_sides() {
-                let (l, lk) = prune(*left, &left_req);
-                let (r, rk) = prune(*right, &right_req);
-                let nl_new = lk.len();
-                let condition = condition.map(|c| {
-                    c.map_columns(&|i| {
-                        if i < nl {
-                            remap_pos(&lk, i)
-                        } else {
-                            nl_new + remap_pos(&rk, i - nl)
-                        }
-                    })
-                });
-                let kept: Vec<usize> = lk
-                    .iter()
-                    .copied()
-                    .chain(rk.iter().map(|&i| i + nl))
-                    .collect();
-                let join =
-                    LogicalPlan::join(l, r, kind, condition).expect("pruned join stays valid");
-                (join, kept)
+                let kept = lk.iter().copied().chain(rk.iter().map(|&i| i + nl));
+                (join, kept.collect())
             } else {
                 // Semi/Anti: output is the left side only; the right side
                 // exists for the condition alone.
-                let (l, lk) = prune(*left, &left_req);
-                let (r, rk) = prune(*right, &right_req);
-                let nl_new = lk.len();
-                let condition = condition.map(|c| {
-                    c.map_columns(&|i| {
-                        if i < nl {
-                            remap_pos(&lk, i)
-                        } else {
-                            nl_new + remap_pos(&rk, i - nl)
-                        }
-                    })
-                });
-                let join =
-                    LogicalPlan::join(l, r, kind, condition).expect("pruned join stays valid");
                 (join, lk)
             }
         }
@@ -894,48 +797,18 @@ fn prune(plan: LogicalPlan, required: &[usize]) -> (LogicalPlan, Vec<usize>) {
                 required.to_vec(),
             )
         }
-        other @ (LogicalPlan::SetOp { .. } | LogicalPlan::Boundary { .. }) => full(other),
+        // Width-rigid operators (set-semantics set ops, boundaries) keep
+        // their own width but still prune inside their children.
+        other @ (LogicalPlan::SetOp { .. } | LogicalPlan::Boundary { .. }) => {
+            let other = map_children_once(other, &mut |child| {
+                let every: Vec<usize> = (0..child.arity()).collect();
+                let (pruned, kept) = prune(child, &every);
+                debug_assert_eq!(kept, every);
+                pruned
+            });
+            (other, (0..arity).collect())
+        }
     }
-}
-
-/// Keep `plan`'s own width but still prune inside its children (used for
-/// width-rigid operators: set-semantics set ops, boundaries).
-fn prune_children_full(plan: LogicalPlan, all: Vec<usize>) -> (LogicalPlan, Vec<usize>) {
-    let plan = match plan {
-        LogicalPlan::SetOp {
-            op,
-            all: keep_all,
-            left,
-            right,
-            schema,
-        } => {
-            let la: Vec<usize> = (0..left.arity()).collect();
-            let ra: Vec<usize> = (0..right.arity()).collect();
-            let (l, lk) = prune(*left, &la);
-            let (r, rk) = prune(*right, &ra);
-            debug_assert_eq!(lk, la);
-            debug_assert_eq!(rk, ra);
-            LogicalPlan::SetOp {
-                op,
-                all: keep_all,
-                left: Box::new(l),
-                right: Box::new(r),
-                schema,
-            }
-        }
-        LogicalPlan::Boundary { input, name, kind } => {
-            let ia: Vec<usize> = (0..input.arity()).collect();
-            let (i, ik) = prune(*input, &ia);
-            debug_assert_eq!(ik, ia);
-            LogicalPlan::Boundary {
-                input: Box::new(i),
-                name,
-                kind,
-            }
-        }
-        other => other,
-    };
-    (plan, all)
 }
 
 // ----------------------------------------------------------------------

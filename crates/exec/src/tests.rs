@@ -1213,6 +1213,33 @@ mod parallel_exec {
             "LIMIT pulled {} scan rows",
             stream.rows_scanned()
         );
+
+        // A row goal of a few rows keeps the scan serial; a large one still
+        // runs the exchange, whose producers stop a few morsels past it.
+        let cat = numbers_catalog(60000);
+        let plan = bound(&cat, "SELECT n * 3 FROM numbers WHERE n % 2 = 0 LIMIT 3000");
+        let physical = crate::PhysicalPlanner::new(&cat)
+            .max_parallelism(4)
+            .parallel_threshold(2)
+            .plan(&plan);
+        fn scan_dop(p: &PhysicalPlan) -> usize {
+            match p {
+                PhysicalPlan::FusedScanProjectFilter { dop, .. } => *dop,
+                _ => p.children().into_iter().map(scan_dop).max().unwrap_or(0),
+            }
+        }
+        assert!(scan_dop(&physical) > 1, "{physical:?}");
+        let mut stream = Executor::new(Arc::new(cat.clone()))
+            .with_parallelism(4, 2)
+            .into_stream(&plan)
+            .unwrap();
+        let got: Vec<Tuple> = stream.by_ref().map(|r| r.unwrap()).collect();
+        assert_eq!(got.len(), 3000);
+        assert!(
+            stream.rows_scanned() < 60000,
+            "LIMIT pulled {} scan rows",
+            stream.rows_scanned()
+        );
     }
 
     #[test]

@@ -589,12 +589,7 @@ fn verify_node(plan: &PhysicalPlan, pass: &str, path: &str) -> Result<Schema> {
                 exprs.push(r);
             }
             check_dop(plan, &exprs, pass, path)?;
-            let base = if kind.produces_both_sides() {
-                combined
-            } else {
-                ls
-            };
-            finish_join_output(base, out_slots.as_deref(), pass, path)
+            finish_join_output(*kind, ls, combined, out_slots.as_deref(), pass, path)
         }
         PhysicalPlan::IndexNLJoin {
             outer,
@@ -671,12 +666,7 @@ fn verify_node(plan: &PhysicalPlan, pass: &str, path: &str) -> Result<Schema> {
                 exprs.push(r);
             }
             check_dop(plan, &exprs, pass, path)?;
-            let base = if kind.produces_both_sides() {
-                combined
-            } else {
-                os
-            };
-            finish_join_output(base, out_slots.as_deref(), pass, path)
+            finish_join_output(*kind, os, combined, out_slots.as_deref(), pass, path)
         }
         PhysicalPlan::NLJoin {
             left,
@@ -714,12 +704,7 @@ fn verify_node(plan: &PhysicalPlan, pass: &str, path: &str) -> Result<Schema> {
             if let Some(c) = condition {
                 check_bool_expr(c, &combined, pass, path, "condition")?;
             }
-            let base = if kind.produces_both_sides() {
-                combined
-            } else {
-                ls
-            };
-            finish_join_output(base, out_slots.as_deref(), pass, path)
+            finish_join_output(*kind, ls, combined, out_slots.as_deref(), pass, path)
         }
         PhysicalPlan::HashAggregate {
             input,
@@ -798,14 +783,22 @@ fn verify_node(plan: &PhysicalPlan, pass: &str, path: &str) -> Result<Schema> {
     }
 }
 
-/// Bounds-check a fused `out_slots` projection and apply it to the join's
-/// base output schema.
+/// The join's output schema: `combined` (left ++ right), or `left` alone
+/// for SEMI/ANTI, with the fused `out_slots` projection bounds-checked
+/// and applied.
 fn finish_join_output(
-    base: Schema,
+    kind: JoinType,
+    left: Schema,
+    combined: Schema,
     out_slots: Option<&[usize]>,
     pass: &str,
     path: &str,
 ) -> Result<Schema> {
+    let base = if kind.produces_both_sides() {
+        combined
+    } else {
+        left
+    };
     match out_slots {
         Some(slots) => {
             check_slots(slots, base.len(), pass, path, "fused output projection")?;

@@ -353,6 +353,34 @@ fn build_plan(case: &PlanCase, cat: &Catalog) -> LogicalPlan {
     plan
 }
 
+/// The six hashed/appending set-operation variants: UNION, INTERSECT and
+/// EXCEPT, each with set (`DISTINCT`) and bag (`ALL`) semantics.
+const SET_OPS: [(SetOpType, bool); 6] = [
+    (SetOpType::Union, false),
+    (SetOpType::Union, true),
+    (SetOpType::Intersect, false),
+    (SetOpType::Intersect, true),
+    (SetOpType::Except, false),
+    (SetOpType::Except, true),
+];
+
+/// `left <op> t2`, where `left` has t2's arity (two int columns).
+fn set_op_over_t2(cat: &Catalog, (op, all): (SetOpType, bool), left: LogicalPlan) -> LogicalPlan {
+    let right = LogicalPlan::Scan {
+        table: "t2".into(),
+        schema: cat.table("t2").unwrap().schema().clone(),
+        provenance_cols: vec![],
+    };
+    let schema = left.schema().clone();
+    LogicalPlan::SetOp {
+        op,
+        all,
+        left: Box::new(left),
+        right: Box::new(right),
+        schema,
+    }
+}
+
 fn sorted(mut rows: Vec<Tuple>) -> Vec<Tuple> {
     rows.sort_by(|a, b| {
         for (x, y) in a.values().iter().zip(b.values()) {
@@ -480,17 +508,29 @@ proptest! {
     /// error raised inside a worker thread (the `div_by_key` variant
     /// plants a division that blows up on key-0 rows mid-scan), which
     /// must surface as exactly the `PermError` serial execution raises.
+    /// `shape` 1 puts a DISTINCT over the join plan; shapes 2..=7 combine
+    /// its first two columns with t2 through each of the six set-op
+    /// variants.
     #[test]
     fn parallel_execution_matches_serial(
         case in plan_case(),
         div_by_key in any::<bool>(),
         sort_on_top in any::<bool>(),
+        shape in 0..8usize,
     ) {
         let mut cat = Catalog::new();
         cat.create_table(int_table("t1", ["a", "b"], &case.t1_rows)).unwrap();
         cat.create_table(int_table("t2", ["c", "d"], &case.t2_rows)).unwrap();
         cat.table_mut("t2").unwrap().create_index(0).unwrap();
         let mut plan = build_plan(&case, &cat);
+        match shape {
+            0 => {}
+            1 => plan = LogicalPlan::Distinct { input: Box::new(plan) },
+            _ => {
+                let left = LogicalPlan::project_positions(plan, &[0, 1]);
+                plan = set_op_over_t2(&cat, SET_OPS[shape - 2], left);
+            }
+        }
         if div_by_key {
             // `b / a` raises division-by-zero on any row with a = 0;
             // pushdown fuses this into the parallel scan pipeline.
@@ -568,7 +608,7 @@ proptest! {
     fn spilling_execution_matches_in_memory(
         case in plan_case(),
         div_by_key in any::<bool>(),
-        shape in 0..6usize,
+        shape in 0..9usize,
         parallel in any::<bool>(),
     ) {
         // FULL hash joins are deliberately non-spillable (the planner
@@ -586,28 +626,22 @@ proptest! {
         cat.create_table(int_table("t2", ["c", "d"], &case.t2_rows)).unwrap();
         let mut plan = match shape {
             // Set operations need equal arities: run them straight over
-            // the two base tables (union distinct, intersect all and
-            // except all cover all three hash set-op families).
-            3..=5 => {
-                let scan = |name: &str| LogicalPlan::Scan {
-                    table: name.into(),
-                    schema: cat.table(name).unwrap().schema().clone(),
-                    provenance_cols: vec![],
-                };
+            // the two base tables (shapes 3..=8 cover all six variants).
+            3..=8 => {
                 let (op, all) = match shape {
                     3 => (SetOpType::Union, false),
                     4 => (SetOpType::Intersect, true),
-                    _ => (SetOpType::Except, true),
+                    5 => (SetOpType::Except, true),
+                    6 => (SetOpType::Union, true),
+                    7 => (SetOpType::Intersect, false),
+                    _ => (SetOpType::Except, false),
                 };
-                let left = scan("t1");
-                let schema = left.schema().clone();
-                LogicalPlan::SetOp {
-                    op,
-                    all,
-                    left: Box::new(left),
-                    right: Box::new(scan("t2")),
-                    schema,
-                }
+                let t1 = LogicalPlan::Scan {
+                    table: "t1".into(),
+                    schema: cat.table("t1").unwrap().schema().clone(),
+                    provenance_cols: vec![],
+                };
+                set_op_over_t2(&cat, (op, all), t1)
             }
             _ => build_plan(&case, &cat),
         };

@@ -312,6 +312,10 @@ impl Iterator for SpillReader {
         self.remaining -= 1;
         Some(self.read_record())
     }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.remaining, Some(self.remaining))
+    }
 }
 
 /// True when no spill temp file created by this process remains on
@@ -396,6 +400,9 @@ mod tests {
 
     #[test]
     fn rows_round_trip_exactly_in_order() {
+        // Reads hit the `spill.read` failpoint: hold the registry lock so a
+        // sibling test's injected read errors cannot reach these reads.
+        let _g = crate::failpoint::test_guard();
         let mut w = SpillWriter::create().unwrap();
         let rows = sample_rows();
         for (i, r) in rows.iter().enumerate() {
@@ -439,6 +446,9 @@ mod tests {
 
     #[test]
     fn partitions_scatter_and_read_back() {
+        // Reads hit the `spill.read` failpoint: hold the registry lock so a
+        // sibling test's injected read errors cannot reach these reads.
+        let _g = crate::failpoint::test_guard();
         let mut parts = SpillPartitions::create(3).unwrap();
         for i in 0..10u64 {
             let row = Tuple::new(vec![Value::Int(i as i64)]);
