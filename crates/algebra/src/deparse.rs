@@ -224,6 +224,12 @@ impl Deparser {
                     names: out_names,
                 }
             }
+            // The fused aggregation provenance prints as its definition,
+            // the paper's join-back.
+            LogicalPlan::AggregateAnnotate { .. } => match plan.join_back_form() {
+                Some(join_back) => self.select_of(&join_back),
+                None => unreachable!("an AggregateAnnotate node has a join-back form"),
+            },
             LogicalPlan::Distinct { input } => {
                 let (fi, _alias, names) = self.render_from_item(input);
                 Rel {

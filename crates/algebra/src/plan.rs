@@ -120,6 +120,33 @@ pub enum LogicalPlan {
         /// Group columns first, then one column per aggregate.
         schema: Schema,
     },
+    /// Aggregation provenance in one pass: group `input` on `group_by`,
+    /// compute `aggs`, and emit one row per input row — its group's key
+    /// and aggregate values, then the input columns listed in `annotate`.
+    /// A global aggregate (no `group_by`) over an empty input still emits
+    /// its single row, with NULL annotate columns.
+    ///
+    /// The node *is* the aggregation rewrite's join-back, evaluated
+    /// without the second pass over `input`; its definition is
+    /// [`LogicalPlan::join_back_form`]:
+    ///
+    /// ```text
+    /// Π_{G, aggs, annotate}( α_{G,aggs}(input) ⟕_{G ≡ G(input)} input )
+    /// ```
+    ///
+    /// The rewriter emits it only when `input` holds exactly one row per
+    /// row of the original aggregate's input, so aggregating `input`
+    /// equals aggregating the original.
+    AggregateAnnotate {
+        input: Box<LogicalPlan>,
+        group_by: Vec<ScalarExpr>,
+        aggs: Vec<AggCall>,
+        /// Input positions carried onto every output row.
+        annotate: Vec<usize>,
+        /// Group columns, then one column per aggregate, then one
+        /// (nullable) column per `annotate` position.
+        schema: Schema,
+    },
     /// Duplicate elimination over all columns.
     Distinct { input: Box<LogicalPlan> },
     SetOp {
@@ -158,6 +185,7 @@ impl LogicalPlan {
             | LogicalPlan::Project { schema, .. }
             | LogicalPlan::Join { schema, .. }
             | LogicalPlan::Aggregate { schema, .. }
+            | LogicalPlan::AggregateAnnotate { schema, .. }
             | LogicalPlan::SetOp { schema, .. } => schema,
             LogicalPlan::Filter { input, .. }
             | LogicalPlan::Distinct { input }
@@ -179,6 +207,7 @@ impl LogicalPlan {
             LogicalPlan::Project { input, .. }
             | LogicalPlan::Filter { input, .. }
             | LogicalPlan::Aggregate { input, .. }
+            | LogicalPlan::AggregateAnnotate { input, .. }
             | LogicalPlan::Distinct { input }
             | LogicalPlan::Sort { input, .. }
             | LogicalPlan::Limit { input, .. }
@@ -198,6 +227,7 @@ impl LogicalPlan {
             LogicalPlan::Filter { .. } => "Filter".into(),
             LogicalPlan::Join { kind, .. } => format!("{}Join", kind.name()),
             LogicalPlan::Aggregate { .. } => "Aggregate".into(),
+            LogicalPlan::AggregateAnnotate { .. } => "AggregateAnnotate".into(),
             LogicalPlan::Distinct { .. } => "Distinct".into(),
             LogicalPlan::SetOp { op, all, .. } => {
                 format!("{}{}", op.name(), if *all { "All" } else { "" })
@@ -263,7 +293,8 @@ impl LogicalPlan {
                     visit_expr(c);
                 }
             }
-            LogicalPlan::Aggregate { group_by, aggs, .. } => {
+            LogicalPlan::Aggregate { group_by, aggs, .. }
+            | LogicalPlan::AggregateAnnotate { group_by, aggs, .. } => {
                 for e in group_by {
                     visit_expr(e);
                 }
@@ -341,7 +372,8 @@ impl LogicalPlan {
                     handle(c);
                 }
             }
-            LogicalPlan::Aggregate { group_by, aggs, .. } => {
+            LogicalPlan::Aggregate { group_by, aggs, .. }
+            | LogicalPlan::AggregateAnnotate { group_by, aggs, .. } => {
                 for e in group_by {
                     handle(e);
                 }
@@ -438,6 +470,54 @@ impl LogicalPlan {
         })
     }
 
+    /// Build an [`LogicalPlan::AggregateAnnotate`] node. `agg_schema` is
+    /// the schema of the plain aggregate (group columns, then aggregate
+    /// columns); the annotate columns take their names and types from
+    /// `input`, nullable as the join-back's outer side makes them.
+    pub fn aggregate_annotate(
+        input: LogicalPlan,
+        group_by: Vec<ScalarExpr>,
+        aggs: Vec<AggCall>,
+        agg_schema: &Schema,
+        annotate: Vec<usize>,
+    ) -> LogicalPlan {
+        let carried = input.schema().nullable().project(&annotate);
+        LogicalPlan::AggregateAnnotate {
+            input: Box::new(input),
+            group_by,
+            aggs,
+            annotate,
+            schema: agg_schema.join(&carried),
+        }
+    }
+
+    /// The definition of an [`LogicalPlan::AggregateAnnotate`] node as
+    /// the aggregation rewrite's join-back: the plain aggregate of its
+    /// input, LEFT-joined back to the input on NULL-safe group-key
+    /// equality, projected to the aggregate columns and the annotate
+    /// columns. `None` for every other node.
+    pub fn join_back_form(&self) -> Option<LogicalPlan> {
+        let LogicalPlan::AggregateAnnotate {
+            input,
+            group_by,
+            aggs,
+            annotate,
+            schema,
+        } = self
+        else {
+            return None;
+        };
+        let n_agg = group_by.len() + aggs.len();
+        let agg_schema = Schema::new(schema.columns()[..n_agg].to_vec());
+        let agg = LogicalPlan::Aggregate {
+            input: input.clone(),
+            group_by: group_by.clone(),
+            aggs: aggs.clone(),
+            schema: agg_schema,
+        };
+        join_back(agg, group_by, (**input).clone(), annotate).ok()
+    }
+
     /// A single-row, zero-column Values node (`SELECT` without `FROM` scans
     /// exactly one empty tuple).
     pub fn empty_row() -> LogicalPlan {
@@ -446,6 +526,39 @@ impl LogicalPlan {
             schema: Schema::empty(),
         }
     }
+}
+
+/// The aggregation join-back `Π_{agg, annotate}(agg ⟕_{G ≡ G(input)}
+/// input)`: group column `i` of `agg` (group columns come first) must be
+/// NULL-safe-equal to `group_by[i]` evaluated over `input`, because
+/// `GROUP BY` groups NULLs together. A global aggregate (no `group_by`)
+/// joins its single row to every input row (`ON true`); the outer join
+/// keeps the row of an empty input with NULL annotate columns.
+pub fn join_back(
+    agg: LogicalPlan,
+    group_by: &[ScalarExpr],
+    input: LogicalPlan,
+    annotate: &[usize],
+) -> Result<LogicalPlan> {
+    let n_agg = agg.arity();
+    let cond = if group_by.is_empty() {
+        ScalarExpr::Literal(perm_types::Value::Bool(true))
+    } else {
+        ScalarExpr::conjunction(
+            group_by
+                .iter()
+                .enumerate()
+                .map(|(i, g)| {
+                    ScalarExpr::not_distinct(ScalarExpr::Column(i), g.map_columns(&|c| c + n_agg))
+                })
+                .collect(),
+        )
+    };
+    let join = LogicalPlan::join(agg, input, JoinType::Left, Some(cond))?;
+    let positions: Vec<usize> = (0..n_agg)
+        .chain(annotate.iter().map(|&a| n_agg + a))
+        .collect();
+    Ok(LogicalPlan::project_positions(join, &positions))
 }
 
 /// Derive the output column for an expression (used by binder and rewriter

@@ -96,6 +96,20 @@ fn describe(plan: &LogicalPlan) -> String {
             let a: Vec<String> = aggs.iter().map(|c| c.to_string()).collect();
             format!("Aggregate group=[{}] aggs=[{}]", g.join(", "), a.join(", "))
         }
+        LogicalPlan::AggregateAnnotate {
+            group_by,
+            aggs,
+            annotate,
+            ..
+        } => {
+            let g: Vec<String> = group_by.iter().map(|e| e.to_string()).collect();
+            let a: Vec<String> = aggs.iter().map(|c| c.to_string()).collect();
+            format!(
+                "AggregateAnnotate group=[{}] aggs=[{}] annotate={annotate:?}",
+                g.join(", "),
+                a.join(", ")
+            )
+        }
         LogicalPlan::Distinct { .. } => "Distinct".into(),
         LogicalPlan::SetOp { op, all, .. } => {
             format!("{}{}", op.name(), if *all { "All" } else { "" })

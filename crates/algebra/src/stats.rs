@@ -103,6 +103,17 @@ pub fn resolve_base_column(plan: &LogicalPlan, col: usize) -> Option<(&str, usiz
             }
         }
         LogicalPlan::Join { left, .. } => resolve_base_column(left, col),
+        // Annotate columns are copies of input columns.
+        LogicalPlan::AggregateAnnotate {
+            input,
+            group_by,
+            aggs,
+            annotate,
+            ..
+        } => {
+            let k = col.checked_sub(group_by.len() + aggs.len())?;
+            resolve_base_column(input, *annotate.get(k)?)
+        }
         _ => None,
     }
 }
@@ -271,6 +282,9 @@ pub fn estimate_rows(plan: &LogicalPlan, est: &dyn CardinalityEstimator) -> f64 
                 by_stats.map_or_else(|| n.sqrt().max(1.0), |d| d.min(n).max(1.0))
             }
         }
+        // One row per input row (a global aggregate keeps its row over an
+        // empty input).
+        LogicalPlan::AggregateAnnotate { input, .. } => estimate_rows(input, est).max(1.0),
         LogicalPlan::Distinct { input } => estimate_rows(input, est) * 0.8,
         LogicalPlan::SetOp {
             op, left, right, ..

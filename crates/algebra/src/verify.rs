@@ -205,44 +205,57 @@ fn verify_node(plan: &LogicalPlan, pass: &str, path: &str, outer: &[Schema]) -> 
             group_by,
             aggs,
             schema,
+        } => check_aggregate(input, group_by, aggs, schema, outer, pass, &path)?,
+        LogicalPlan::AggregateAnnotate {
+            input,
+            group_by,
+            aggs,
+            annotate,
+            schema,
         } => {
-            if group_by.len() + aggs.len() != schema.len() {
+            // Output = group columns ++ aggregate columns ++ annotate
+            // columns, the last block copied from the input.
+            let n_agg = group_by.len() + aggs.len();
+            if n_agg + annotate.len() != schema.len() {
                 return Err(violation(
                     pass,
                     "schema-arity",
                     &path,
                     format!(
-                        "{} group keys + {} aggregates but the schema declares {} columns",
+                        "{} group keys + {} aggregates + {} annotate columns but the \
+                         schema declares {} columns",
                         group_by.len(),
                         aggs.len(),
+                        annotate.len(),
                         schema.len()
                     ),
                 ));
             }
-            for (i, e) in group_by.iter().enumerate() {
-                let ty = check_expr(
-                    e,
-                    input.schema(),
-                    outer,
-                    pass,
-                    &path,
-                    &format!("group key {i}"),
-                )?;
-                if !compatible(ty, schema.column(i).ty) {
+            let agg_schema = Schema::new(schema.columns()[..n_agg].to_vec());
+            check_aggregate(input, group_by, aggs, &agg_schema, outer, pass, &path)?;
+            let in_schema = input.schema();
+            for (j, &a) in annotate.iter().enumerate() {
+                if a >= in_schema.len() {
                     return Err(violation(
                         pass,
-                        "expr-type",
+                        "slot-bounds",
                         &path,
                         format!(
-                            "group key {i} ({e}) has type {ty} but output column declares {}",
-                            schema.column(i).ty
+                            "annotate column {j} copies input position {a} out of range \
+                             ({} columns)",
+                            in_schema.len()
                         ),
                     ));
                 }
             }
-            for (j, call) in aggs.iter().enumerate() {
-                check_agg(call, input.schema(), outer, pass, &path, j)?;
-            }
+            let carried = Schema::new(schema.columns()[n_agg..].to_vec());
+            check_same_shape(
+                &carried,
+                &in_schema.project(annotate),
+                pass,
+                "schema-consistency",
+                &path,
+            )?;
         }
         LogicalPlan::SetOp {
             left,
@@ -283,6 +296,58 @@ fn verify_node(plan: &LogicalPlan, pass: &str, path: &str, outer: &[Schema]) -> 
 
     for child in plan.children() {
         verify_node(child, pass, &path, outer)?;
+    }
+    Ok(())
+}
+
+/// Check an aggregation: `schema` declares one column per group key,
+/// then one per aggregate, and every expression typechecks against the
+/// input.
+fn check_aggregate(
+    input: &LogicalPlan,
+    group_by: &[ScalarExpr],
+    aggs: &[AggCall],
+    schema: &Schema,
+    outer: &[Schema],
+    pass: &str,
+    path: &str,
+) -> Result<()> {
+    if group_by.len() + aggs.len() != schema.len() {
+        return Err(violation(
+            pass,
+            "schema-arity",
+            path,
+            format!(
+                "{} group keys + {} aggregates but the schema declares {} columns",
+                group_by.len(),
+                aggs.len(),
+                schema.len()
+            ),
+        ));
+    }
+    for (i, e) in group_by.iter().enumerate() {
+        let ty = check_expr(
+            e,
+            input.schema(),
+            outer,
+            pass,
+            path,
+            &format!("group key {i}"),
+        )?;
+        if !compatible(ty, schema.column(i).ty) {
+            return Err(violation(
+                pass,
+                "expr-type",
+                path,
+                format!(
+                    "group key {i} ({e}) has type {ty} but output column declares {}",
+                    schema.column(i).ty
+                ),
+            ));
+        }
+    }
+    for (j, call) in aggs.iter().enumerate() {
+        check_agg(call, input.schema(), outer, pass, path, j)?;
     }
     Ok(())
 }

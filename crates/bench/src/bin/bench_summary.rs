@@ -387,7 +387,13 @@ fn check_cancel_latency(lat: &[f64; 2]) -> Result<(), String> {
 /// into its longer pipeline shows up here first: the PR 7–8 regression
 /// (9.8 ms → 15.9 ms) pushed the ratio to 13.2× while every absolute
 /// number still looked plausible on a faster host.
-const JOINBACK_RATIO_LIMIT: f64 = 12.0;
+///
+/// Since the rewrite evaluates this query's join-back as one fused
+/// group-and-annotate pass, three 5-run summaries on a 2-vCPU host
+/// measured ratios of 7.8, 9.0 and 9.8 (the literal join-back measured
+/// 10.2–11.3 on the same host); the limit is the worst of them plus a
+/// 12% margin for runner noise.
+const JOINBACK_RATIO_LIMIT: f64 = 11.0;
 
 /// Regression guard for `provenance_join/prov_agg_joinback`: compare it
 /// against the median of the other `provenance_join` benches and reject

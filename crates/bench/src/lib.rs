@@ -58,4 +58,47 @@ mod tests {
         assert!(prov.as_nanos() > 0);
         assert!(factor > 0.0);
     }
+
+    /// The overhead study's aggregation plans: over an SPJ input the
+    /// rewrite evaluates T+ once through the fused group-and-annotate
+    /// operator; over a sublink (TPC-H Q4) or a union view (the §2.4
+    /// listing) it keeps the LEFT join-back.
+    #[test]
+    fn aggregation_provenance_plan_shapes() {
+        fn explain(db: &mut PermDb, sql: &str) -> String {
+            let rows = db.query(&format!("EXPLAIN {sql}")).unwrap().rows;
+            let lines: Vec<String> = rows.iter().map(|r| r.get(0).to_string()).collect();
+            lines.join("\n")
+        }
+        let fused = |plan: &str| plan.contains("annotate=") && !plan.contains("Join(Left");
+        let mut forum_db = forum(200, 3);
+        let plan = explain(&mut forum_db, &QueryClass::Aggregation.provenance_sql());
+        assert!(fused(&plan), "agg.q+:\n{plan}");
+        // T+ (messages ⋈ approved) is evaluated once.
+        assert_eq!(plan.matches("(approved)").count(), 1, "agg.q+:\n{plan}");
+
+        let mut tpch_db = tpch(300, 13);
+        for q in [TpchQuery::PricingSummary, TpchQuery::ShippingPriority] {
+            let plan = explain(&mut tpch_db, &q.provenance_sql());
+            assert!(fused(&plan), "{}:\n{plan}", q.name());
+            assert_eq!(
+                plan.matches("(lineitem)").count(),
+                1,
+                "{}:\n{plan}",
+                q.name()
+            );
+        }
+        let plan = explain(&mut tpch_db, &TpchQuery::OrderPriority.provenance_sql());
+        assert!(
+            plan.contains("Join(Left"),
+            "Q4 keeps its join-back:\n{plan}"
+        );
+
+        let mut paper_db = perm_core::fixtures::forum_db();
+        let plan = explain(&mut paper_db, perm_core::fixtures::SEC24_PROVENANCE_AGG);
+        assert!(
+            plan.contains("Join(Left"),
+            "§2.4 keeps its join-back:\n{plan}"
+        );
+    }
 }

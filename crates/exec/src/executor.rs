@@ -410,9 +410,18 @@ impl Executor {
                 input,
                 group_by,
                 aggs,
+                annotate,
                 dop,
                 spill,
-            } => aggregate::run_aggregate(self, input, group_by, aggs, *dop, *spill),
+            } => aggregate::run_aggregate(
+                self,
+                input,
+                group_by,
+                aggs,
+                annotate.as_deref(),
+                *dop,
+                *spill,
+            ),
             PhysicalPlan::HashDistinct { input, dop, spill } => {
                 setop::run_distinct(self, input, *dop, *spill)
             }

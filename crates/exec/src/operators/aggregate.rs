@@ -1,12 +1,20 @@
 //! Hash aggregation with SQL NULL semantics, `DISTINCT` aggregates and the
 //! `any_value` leniency aggregate.
+//!
+//! In **annotate mode** (`annotate: Some(columns)`, the lowering of
+//! [`perm_algebra::plan::LogicalPlan::AggregateAnnotate`]) the operator
+//! emits one row per input row instead of one per group: the row's group
+//! key and aggregate values, then its `columns`. The same kernel runs
+//! once over the input and records each row's group id; the rows are
+//! emitted after the groups are finished. Serial, parallel and spilled
+//! runs all emit in input order.
 
 use std::borrow::Borrow;
 use std::sync::Arc;
 
 use perm_types::hash::{FxHashMap, FxHashSet};
 use perm_types::ops;
-use perm_types::{PermError, Result, Tuple, Value};
+use perm_types::{PermError, QueryContext, Result, Tuple, Value};
 
 use perm_algebra::expr::{AggCall, AggFunc, ScalarExpr};
 
@@ -254,7 +262,8 @@ impl AggState {
     }
 }
 
-/// One group's accumulators plus per-aggregate DISTINCT filters.
+/// One group's accumulators plus per-aggregate DISTINCT filters (empty
+/// when no aggregate is DISTINCT).
 struct GroupState {
     states: Vec<AggState>,
     distinct_seen: Vec<Option<FxHashSet<Value>>>,
@@ -262,18 +271,19 @@ struct GroupState {
 
 impl GroupState {
     fn new(calls: &[AggCall]) -> GroupState {
+        // Without DISTINCT aggregates the filter list stays empty (no
+        // allocation per group).
+        let distinct_seen = if calls.iter().any(|c| c.distinct) {
+            calls
+                .iter()
+                .map(|c| c.distinct.then(FxHashSet::default))
+                .collect()
+        } else {
+            Vec::new()
+        };
         GroupState {
             states: calls.iter().map(AggState::new).collect(),
-            distinct_seen: calls
-                .iter()
-                .map(|c| {
-                    if c.distinct {
-                        Some(FxHashSet::default())
-                    } else {
-                        None
-                    }
-                })
-                .collect(),
+            distinct_seen,
         }
     }
 }
@@ -311,13 +321,32 @@ impl KeyPlan {
     }
 }
 
-/// Partial aggregation state over part of the input: group keys in
-/// first-appearance order, each with the tag of its first row, plus
-/// their accumulators.
+/// Partial aggregation state over part of the input: each group's id —
+/// its position in first-appearance order — and accumulators, plus each
+/// group's first tag, indexed by id.
 #[derive(Default)]
 struct AggPartial {
-    order: Vec<(u64, GroupKey)>,
-    groups: FxHashMap<GroupKey, GroupState>,
+    groups: FxHashMap<GroupKey, (usize, GroupState)>,
+    first_tags: Vec<u64>,
+}
+
+impl AggPartial {
+    /// The groups in first-appearance order, each with its first tag. The
+    /// hash table drains straight into id order: no key is hashed again.
+    fn into_ordered(self) -> impl Iterator<Item = (u64, GroupKey, GroupState)> {
+        let mut slots: Vec<Option<(GroupKey, GroupState)>> = std::iter::repeat_with(|| None)
+            .take(self.first_tags.len())
+            .collect();
+        // no-cancel: reordering of already-computed group states.
+        for (key, (id, state)) in self.groups {
+            slots[id] = Some((key, state));
+        }
+        self.first_tags.into_iter().zip(slots).map(|(tag, slot)| {
+            // INVARIANT: ids are exactly 0..first_tags.len(), one per group.
+            let (key, state) = slot.expect("every id has a group");
+            (tag, key, state)
+        })
+    }
 }
 
 impl GroupKey {
@@ -332,7 +361,8 @@ impl GroupKey {
 }
 
 /// The aggregation kernel: accumulate `(tag, row)` pairs, in tag order,
-/// into a fresh partial, charging each new group's state to `mem`.
+/// into a fresh partial, charging each new group's state to `mem`, and
+/// push each row's group id to `ids` when given (annotate mode).
 /// Shared by the serial path, every parallel chunk worker and every
 /// spilled partition. A row's evaluation error comes back tagged with its
 /// row (rows after it are not accumulated); an `Err` is a read,
@@ -344,6 +374,7 @@ fn accumulate<T: Borrow<Tuple>>(
     aggs: &[AggCall],
     outer: &[Tuple],
     mem: &mut Retained<'_>,
+    mut ids: Option<&mut Vec<usize>>,
 ) -> Result<std::result::Result<AggPartial, TaggedError>> {
     // Group-by keys and aggregate arguments are compiled once, evaluated
     // per row (plain-column group keys build by direct slot copy).
@@ -367,16 +398,19 @@ fn accumulate<T: Borrow<Tuple>>(
             Ok(key) => key,
             Err(e) => return Ok(Err((tag, e))),
         };
-        // One hash per row: the entry API probes once, and only a *new*
-        // group clones its key (a refcount bump) into the order list.
-        let state = match partial.groups.entry(key) {
+        // One hash per row: the entry API probes once.
+        let (id, state) = match partial.groups.entry(key) {
             std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
             std::collections::hash_map::Entry::Vacant(v) => {
                 mem.keep(|| v.key().state_bytes(aggs))?;
-                partial.order.push((tag, v.key().clone()));
-                v.insert(GroupState::new(aggs))
+                let id = partial.first_tags.len();
+                partial.first_tags.push(tag);
+                v.insert((id, GroupState::new(aggs)))
             }
         };
+        if let Some(ids) = ids.as_deref_mut() {
+            ids.push(*id);
+        }
         if let Err(e) = update(exec, state, &arg_c, &env) {
             return Ok(Err((tag, e)));
         }
@@ -398,7 +432,7 @@ fn update(
             Some(e) => Some(e.eval(exec, env)?),
             None => None,
         };
-        if let (Some(seen), Some(v)) = (&mut state.distinct_seen[i], &arg) {
+        if let (Some(Some(seen)), Some(v)) = (state.distinct_seen.get_mut(i), &arg) {
             if v.is_null() || !seen.insert(v.clone()) {
                 continue; // duplicate (or NULL) under DISTINCT
             }
@@ -411,15 +445,14 @@ fn update(
 /// Fold `later` (a strictly later contiguous chunk) into `into`. New
 /// groups append in `later`'s first-appearance order, so the merged
 /// order is global first-appearance order — exactly the serial order.
-fn merge_partials(into: &mut AggPartial, later: AggPartial) -> Result<()> {
-    let AggPartial { order, mut groups } = later;
+/// Returns each of `later`'s group ids translated to its id in `into`.
+fn merge_partials(into: &mut AggPartial, later: AggPartial) -> Result<Vec<usize>> {
+    let mut remap = Vec::with_capacity(later.first_tags.len());
     // no-cancel: merge of already-computed partial states.
-    for (tag, key) in order {
-        // INVARIANT: `order` holds exactly the keys of `groups`.
-        let state = groups.remove(&key).expect("group registered");
+    for (tag, key, state) in later.into_ordered() {
         match into.groups.entry(key) {
             std::collections::hash_map::Entry::Occupied(e) => {
-                let target = e.into_mut();
+                let (id, target) = e.into_mut();
                 debug_assert!(
                     state.distinct_seen.iter().all(Option::is_none),
                     "DISTINCT aggregates are planned serial"
@@ -428,14 +461,17 @@ fn merge_partials(into: &mut AggPartial, later: AggPartial) -> Result<()> {
                 for (t, s) in target.states.iter_mut().zip(state.states) {
                     t.merge(s)?;
                 }
+                remap.push(*id);
             }
             std::collections::hash_map::Entry::Vacant(v) => {
-                into.order.push((tag, v.key().clone()));
-                v.insert(state);
+                let id = into.first_tags.len();
+                into.first_tags.push(tag);
+                v.insert((id, state));
+                remap.push(id);
             }
         }
     }
-    Ok(())
+    Ok(remap)
 }
 
 /// Turn a partial into output rows, emitted in group order with each
@@ -447,36 +483,100 @@ fn finish(
     mut emit: impl FnMut(u64, Tuple),
 ) {
     // A global aggregate over an empty input still yields one row.
-    if group_by.is_empty() && partial.order.is_empty() {
+    if group_by.is_empty() && partial.first_tags.is_empty() {
+        partial.first_tags.push(0);
         let empty_key = GroupKey::Many(Tuple::empty());
-        partial.order.push((0, empty_key.clone()));
-        partial.groups.insert(empty_key, GroupState::new(aggs));
+        partial.groups.insert(empty_key, (0, GroupState::new(aggs)));
     }
     // no-cancel: output assembly from already-computed group states.
-    for (tag, key) in partial.order {
-        // INVARIANT: `order` holds exactly the keys of `groups`.
-        let state = partial.groups.remove(&key).expect("group registered");
-        let mut vals = match key {
-            GroupKey::One(v) => {
-                let mut vs = Vec::with_capacity(1 + aggs.len());
-                vs.push(v);
-                vs
-            }
-            GroupKey::Many(t) => t.into_values(),
+    for (tag, key, state) in partial.into_ordered() {
+        let finished = state.states.into_iter().map(AggState::finish);
+        let row = match key {
+            GroupKey::One(v) => std::iter::once(v).chain(finished).collect(),
+            GroupKey::Many(t) => t.iter().cloned().chain(finished).collect(),
         };
-        // no-cancel: bounded by the aggregate-call count.
-        for s in state.states {
-            vals.push(s.finish());
-        }
-        emit(tag, Tuple::new(vals));
+        emit(tag, row);
     }
 }
 
+/// Annotate mode's output: each input row's group values (`groups`,
+/// indexed by group id) followed by its `annotate` columns. A global
+/// aggregate over an empty input emits its one group with NULL annotate
+/// columns, as the join-back's outer join does.
+fn annotate_rows<'t>(
+    ctx: &QueryContext,
+    groups: &[Tuple],
+    rows: impl Iterator<Item = &'t Tuple>,
+    ids: &[usize],
+    annotate: &[usize],
+) -> Result<Vec<Tuple>> {
+    let mut out = Vec::with_capacity(ids.len().max(1));
+    for (i, (row, &id)) in rows.zip(ids).enumerate() {
+        // Masked cancellation check per 4096 emitted rows.
+        if i % 4096 == 0 {
+            ctx.check()?;
+        }
+        out.push(annotate_row(&groups[id], row, annotate));
+    }
+    if ids.is_empty() && groups.len() == 1 {
+        let nulls = std::iter::repeat_n(Value::Null, annotate.len());
+        out.push(groups[0].iter().cloned().chain(nulls).collect());
+    }
+    Ok(out)
+}
+
+/// [`annotate_rows`] over `dop` contiguous chunks of a non-empty input,
+/// each built on a pool worker; chunks concatenate in input order.
+fn annotate_parallel(
+    ctx: &QueryContext,
+    dop: usize,
+    groups: Vec<Tuple>,
+    rows: Arc<Vec<Tuple>>,
+    ids: Vec<usize>,
+    annotate: &[usize],
+) -> Result<Vec<Tuple>> {
+    let total = rows.len();
+    let shared = Arc::new((groups, ids, annotate.to_vec()));
+    let worker_ctx = ctx.clone();
+    let parts = map_chunks(ctx, dop, total, move |range| {
+        let (groups, ids, annotate) = &*shared;
+        let rows = rows[range.clone()].iter();
+        annotate_rows(&worker_ctx, groups, rows, &ids[range], annotate)
+    })?;
+    let mut out = Vec::with_capacity(total);
+    // no-cancel: concatenation of already-built chunks, bounded by dop.
+    for part in parts {
+        out.extend(part);
+    }
+    Ok(out)
+}
+
+/// One annotated row: `group` (key and aggregate values), then `row`'s
+/// `annotate` columns, built in a single allocation.
+#[inline]
+fn annotate_row(group: &Tuple, row: &Tuple, annotate: &[usize]) -> Tuple {
+    group
+        .iter()
+        .cloned()
+        .chain(annotate.iter().map(|&a| row.get(a).clone()))
+        .collect()
+}
+
+/// The finished groups of `partial`, indexed by group id.
+fn finish_groups(partial: AggPartial, group_by: &[ScalarExpr], aggs: &[AggCall]) -> Vec<Tuple> {
+    let mut groups = Vec::with_capacity(partial.first_tags.len().max(1));
+    finish(partial, group_by, aggs, |_, t| groups.push(t));
+    groups
+}
+
+/// Run a hash aggregation: one row per group, or — in annotate mode —
+/// one row per input row carrying its `annotate` columns.
 pub fn run_aggregate(
     exec: &Executor,
     input: &PhysicalPlan,
     group_by: &[ScalarExpr],
     aggs: &[AggCall],
+    annotate: Option<&[usize]>,
     dop: usize,
     spill: Option<usize>,
 ) -> Result<Vec<Tuple>> {
@@ -493,52 +593,82 @@ pub fn run_aggregate(
         &rows[..]
     };
     let res = exec.memory().register("HashAggregate");
-    let partial = match place(&res, charged.iter().map(Tuple::size_bytes), dop, spill)? {
+    // The operator's output from the merged partial and, in annotate
+    // mode, each input row's group id.
+    let emit = |partial: AggPartial, ids: &[usize], rows: &[Tuple]| {
+        let groups = finish_groups(partial, group_by, aggs);
+        match annotate {
+            Some(cols) => annotate_rows(exec.context(), &groups, rows.iter(), ids, cols),
+            None => Ok(groups),
+        }
+    };
+    match place(&res, charged.iter().map(Tuple::size_bytes), dop, spill)? {
         Placement::Serial => {
-            let rows = (0..).zip(&rows).map(Ok);
-            accumulate(exec, rows, group_by, aggs, &outer, &mut Retained::default())?
-                .map_err(|(_, e)| e)?
+            let tagged = (0..).zip(&rows).map(Ok);
+            let mut ids = Vec::new();
+            let partial = accumulate(
+                exec,
+                tagged,
+                group_by,
+                aggs,
+                &outer,
+                &mut Retained::default(),
+                annotate.is_some().then_some(&mut ids),
+            )?
+            .map_err(|(_, e)| e)?;
+            emit(partial, &ids, &rows)
         }
         Placement::Parts(Parts::Workers(n)) => {
             // Chunk-parallel: each worker accumulates one contiguous
             // chunk into a private hash table; partials merge in chunk
-            // order.
+            // order, and each chunk's group ids are translated to the
+            // merged numbering.
             let catalog = exec.catalog_arc();
             let total = rows.len();
-            let rows = Arc::new(rows);
+            let shared = Arc::new(rows);
+            let chunk_rows = Arc::clone(&shared);
             let owned: Arc<(Vec<ScalarExpr>, Vec<AggCall>)> =
                 Arc::new((group_by.to_vec(), aggs.to_vec()));
             let ctx = exec.context().clone();
-            let partials = map_chunks(exec.context(), n, total, move |range| {
+            let with_ids = annotate.is_some();
+            let chunks = map_chunks(exec.context(), n, total, move |range| {
                 let sub = Executor::new(Arc::clone(&catalog)).with_context(ctx.clone());
-                let tagged = (range.start as u64..).zip(&rows[range]).map(Ok);
+                let tagged = (range.start as u64..).zip(&chunk_rows[range]).map(Ok);
                 let (group_by, aggs) = (&owned.0, &owned.1);
-                accumulate(
+                let mut ids = Vec::new();
+                let partial = accumulate(
                     &sub,
                     tagged,
                     group_by,
                     aggs,
                     &outer,
                     &mut Retained::default(),
+                    with_ids.then_some(&mut ids),
                 )?
-                .map_err(|(_, e)| e)
+                .map_err(|(_, e)| e)?;
+                Ok((partial, ids))
             })?;
-            let mut partials = partials.into_iter();
-            let mut acc = partials.next().unwrap_or_default();
+            let mut chunks = chunks.into_iter();
+            let (mut acc, mut ids) = chunks.next().unwrap_or_default();
             // no-cancel: merge of already-computed partials, bounded by
             // dop.
-            for p in partials {
-                merge_partials(&mut acc, p)?;
+            for (p, chunk_ids) in chunks {
+                let remap = merge_partials(&mut acc, p)?;
+                ids.extend(chunk_ids.into_iter().map(|id| remap[id]));
             }
-            acc
+            match annotate {
+                // Annotated rows are built on the chunk workers again.
+                Some(cols) if total > 0 => {
+                    let groups = finish_groups(acc, group_by, aggs);
+                    annotate_parallel(exec.context(), n, groups, shared, ids, cols)
+                }
+                _ => emit(acc, &ids, &shared),
+            }
         }
         Placement::Parts(Parts::Spill(parts, res)) => {
-            return aggregate_spill(exec, rows, group_by, aggs, &outer, parts, res)
+            aggregate_spill(exec, rows, group_by, aggs, annotate, &outer, parts, res)
         }
-    };
-    let mut out = Vec::with_capacity(partial.order.len().max(1));
-    finish(partial, group_by, aggs, |_, t| out.push(t));
-    Ok(out)
+    }
 }
 
 /// Spilled grouped aggregation: input rows scatter to partition files by
@@ -546,7 +676,10 @@ pub fn run_aggregate(
 /// streams through the aggregation kernel in tag order (only its group
 /// states are held and charged) and emits its groups with their first
 /// tags, which the partitioner merges back into global first-appearance
-/// order — exactly the serial output.
+/// order — exactly the serial output. In annotate mode a partition keeps
+/// its rows (charged, like a join's build partition) and emits them
+/// annotated, tagged with their own input positions, so the merge
+/// restores input order.
 ///
 /// Error ordering matches serial execution: the serial loop evaluates a
 /// row's group key, then its aggregate arguments, before looking at the
@@ -554,11 +687,13 @@ pub fn run_aggregate(
 /// scatter (later rows can't matter), but the partitions still run over
 /// the rows before `i` — an argument error among them wins. Across
 /// partitions the error with the smallest input position wins.
+#[allow(clippy::too_many_arguments)]
 fn aggregate_spill(
     exec: &Executor,
     rows: Vec<Tuple>,
     group_by: &[ScalarExpr],
     aggs: &[AggCall],
+    annotate: Option<&[usize]>,
     outer: &[Tuple],
     parts: usize,
     res: &MemoryReservation,
@@ -571,12 +706,40 @@ fn aggregate_spill(
         Ok(Some(partition_of(&k, parts)))
     })?;
     spilled.run(exec.context(), key_err, |[rows], mem| {
-        let partial = match accumulate(exec, rows, group_by, aggs, outer, mem)? {
+        let Some(cols) = annotate else {
+            let partial = match accumulate(exec, rows, group_by, aggs, outer, mem, None)? {
+                Ok(partial) => partial,
+                Err(e) => return Ok(Err(e)),
+            };
+            let mut out = Vec::with_capacity(partial.first_tags.len());
+            finish(partial, group_by, aggs, |tag, t| out.push((tag, t)));
+            return Ok(Ok(out));
+        };
+        let mut kept: Vec<(u64, Tuple)> = Vec::with_capacity(rows.size_hint().0);
+        for (i, rec) in rows.enumerate() {
+            // Masked cancellation check per 4096 read rows.
+            if i % 4096 == 0 {
+                exec.check_cancelled()?;
+            }
+            let (tag, t) = rec?;
+            mem.keep(|| t.size_bytes())?;
+            kept.push((tag, t));
+        }
+        let mut ids = Vec::with_capacity(kept.len());
+        let tagged = kept.iter().map(|(tag, t)| Ok((*tag, t)));
+        let partial = match accumulate(exec, tagged, group_by, aggs, outer, mem, Some(&mut ids))? {
             Ok(partial) => partial,
             Err(e) => return Ok(Err(e)),
         };
-        let mut out = Vec::with_capacity(partial.order.len());
-        finish(partial, group_by, aggs, |tag, t| out.push((tag, t)));
+        let groups = finish_groups(partial, group_by, aggs);
+        let mut out = Vec::with_capacity(kept.len());
+        for (i, ((tag, t), id)) in kept.iter().zip(ids).enumerate() {
+            // Masked cancellation check per 4096 emitted rows.
+            if i % 4096 == 0 {
+                exec.check_cancelled()?;
+            }
+            out.push((*tag, annotate_row(&groups[id], t, cols)));
+        }
         Ok(Ok(out))
     })
 }

@@ -245,6 +245,11 @@ pub enum PhysicalPlan {
         input: Box<PhysicalPlan>,
         group_by: Vec<ScalarExpr>,
         aggs: Vec<AggCall>,
+        /// Annotate mode (the lowering of a logical
+        /// `AggregateAnnotate`): emit one row per input row — its group's
+        /// key and aggregate values, then these input columns — instead
+        /// of one row per group.
+        annotate: Option<Vec<usize>>,
         /// Degree of parallelism: per-worker partial hash tables over
         /// contiguous input chunks, merged in chunk order, when > 1.
         dop: usize,
@@ -492,14 +497,24 @@ impl PhysicalPlan {
                 s.push_str(&rows(*est_rows));
                 s
             }
-            PhysicalPlan::HashAggregate { group_by, aggs, .. } => {
+            PhysicalPlan::HashAggregate {
+                group_by,
+                aggs,
+                annotate,
+                ..
+            } => {
                 let g: Vec<String> = group_by.iter().map(|e| e.to_string()).collect();
                 let a: Vec<String> = aggs.iter().map(|c| c.to_string()).collect();
-                format!(
+                let mut s = format!(
                     "HashAggregate group=[{}] aggs=[{}]",
                     g.join(", "),
                     a.join(", ")
-                )
+                );
+                if let Some(cols) = annotate {
+                    let _ = write!(s, " annotate={cols:?}");
+                    s.push_str(&rows(est_out_rows(self)));
+                }
+                s
             }
             PhysicalPlan::HashDistinct { .. } => "HashDistinct".into(),
             PhysicalPlan::HashSetOp { op, all, .. } => match (op, all) {
@@ -715,7 +730,12 @@ pub(crate) fn out_arity(plan: &PhysicalPlan) -> usize {
             },
             Vec::len,
         ),
-        PhysicalPlan::HashAggregate { group_by, aggs, .. } => group_by.len() + aggs.len(),
+        PhysicalPlan::HashAggregate {
+            group_by,
+            aggs,
+            annotate,
+            ..
+        } => group_by.len() + aggs.len() + annotate.as_ref().map_or(0, Vec::len),
         PhysicalPlan::HashSetOp { left, .. } => out_arity(left),
     }
 }
@@ -732,6 +752,11 @@ fn est_out_rows(plan: &PhysicalPlan) -> f64 {
         PhysicalPlan::Values { rows, .. } => rows.len() as f64,
         PhysicalPlan::Project { input, .. } => est_out_rows(input),
         PhysicalPlan::Filter { input, .. } => est_out_rows(input) * 0.5,
+        PhysicalPlan::HashAggregate {
+            input,
+            annotate: Some(_),
+            ..
+        } => est_out_rows(input).max(1.0),
         PhysicalPlan::HashAggregate {
             input, group_by, ..
         } => {
@@ -1098,27 +1123,22 @@ impl<'a> PhysicalPlanner<'a> {
                 group_by,
                 aggs,
                 ..
-            } => {
-                // Partial-aggregate merging cannot reproduce per-group
-                // DISTINCT filters, and worker threads cannot run
-                // sublinks: both force serial execution.
-                let safe = Self::safe(
-                    &group_by
-                        .iter()
-                        .chain(aggs.iter().filter_map(|a| a.arg.as_ref()))
-                        .collect::<Vec<_>>(),
-                ) && aggs.iter().all(|a| !a.distinct);
-                PhysicalPlan::HashAggregate {
-                    input: Box::new(self.plan_node(input)),
-                    group_by: group_by.clone(),
-                    aggs: aggs.clone(),
-                    dop: self.choose_dop(self.est(input), safe),
-                    // The grouped spill path re-partitions and re-merges
-                    // like the parallel path does, so it shares the same
-                    // legality condition.
-                    spill: safe.then_some(self.spill_fanout.get()),
+            } => self.plan_aggregate(input, group_by, aggs, None),
+            // The nested-loop reference evaluates the fused node by its
+            // definition: the aggregate, then a nested-loop join-back.
+            LogicalPlan::AggregateAnnotate { .. } if self.nested_loop_only => {
+                match plan.join_back_form() {
+                    Some(join_back) => self.plan_node(&join_back),
+                    None => unreachable!("an AggregateAnnotate node has a join-back form"),
                 }
             }
+            LogicalPlan::AggregateAnnotate {
+                input,
+                group_by,
+                aggs,
+                annotate,
+                ..
+            } => self.plan_aggregate(input, group_by, aggs, Some(annotate.clone())),
             LogicalPlan::Distinct { input } => PhysicalPlan::HashDistinct {
                 input: Box::new(self.plan_node(input)),
                 dop: self.choose_dop(self.est(input), true),
@@ -1171,6 +1191,36 @@ impl<'a> PhysicalPlanner<'a> {
                     offset: *offset,
                 }
             }
+        }
+    }
+
+    /// Lower an aggregation (in annotate mode when `annotate` is given).
+    fn plan_aggregate(
+        &self,
+        input: &LogicalPlan,
+        group_by: &[ScalarExpr],
+        aggs: &[AggCall],
+        annotate: Option<Vec<usize>>,
+    ) -> PhysicalPlan {
+        // Partial-aggregate merging cannot reproduce per-group DISTINCT
+        // filters, and worker threads cannot run sublinks: both force
+        // serial execution.
+        let safe = Self::safe(
+            &group_by
+                .iter()
+                .chain(aggs.iter().filter_map(|a| a.arg.as_ref()))
+                .collect::<Vec<_>>(),
+        ) && aggs.iter().all(|a| !a.distinct);
+        PhysicalPlan::HashAggregate {
+            input: Box::new(self.plan_node(input)),
+            group_by: group_by.to_vec(),
+            aggs: aggs.to_vec(),
+            annotate,
+            dop: self.choose_dop(self.est(input), safe),
+            // The grouped spill path re-partitions and re-merges like the
+            // parallel path does, so it shares the same legality
+            // condition.
+            spill: safe.then_some(self.spill_fanout.get()),
         }
     }
 

@@ -35,7 +35,7 @@
 //! sublinks (filter pushdown already refuses to move sublink predicates
 //! for the same reason).
 
-use perm_algebra::expr::{BinOp, ScalarExpr, UnOp};
+use perm_algebra::expr::{AggCall, BinOp, ScalarExpr, UnOp};
 use perm_algebra::plan::{JoinType, LogicalPlan, SetOpType};
 use perm_algebra::stats::{estimate_rows, CardinalityEstimator, UnknownCardinality};
 use perm_types::{Result, Schema};
@@ -723,43 +723,34 @@ fn prune(plan: LogicalPlan, required: &[usize]) -> (LogicalPlan, Vec<usize>) {
             aggs,
             schema,
         } => {
-            // Group columns define the groups — all stay. Aggregates stay
-            // only if required.
-            let g = group_by.len();
-            let kept_aggs: Vec<usize> = (0..aggs.len())
-                .filter(|&j| required.contains(&(g + j)))
-                .collect();
-            let kept_out: Vec<usize> = (0..g).chain(kept_aggs.iter().map(|&j| g + j)).collect();
-            let child_req = union_refs(
-                &[],
-                group_by
-                    .iter()
-                    .chain(kept_aggs.iter().filter_map(|&j| aggs[j].arg.as_ref())),
-            );
-            let (child, child_kept) = prune(*input, &child_req);
-            let group_by = group_by
-                .iter()
-                .map(|e| e.map_columns(&|i| remap_pos(&child_kept, i)))
-                .collect();
-            let aggs = kept_aggs
-                .iter()
-                .map(|&j| perm_algebra::expr::AggCall {
-                    func: aggs[j].func,
-                    arg: aggs[j]
-                        .arg
-                        .as_ref()
-                        .map(|a| a.map_columns(&|i| remap_pos(&child_kept, i))),
-                    distinct: aggs[j].distinct,
-                })
-                .collect();
+            let p = prune_aggregate(*input, &group_by, &aggs, &[], required);
             (
                 LogicalPlan::Aggregate {
-                    input: Box::new(child),
-                    group_by,
-                    aggs,
-                    schema: schema.project(&kept_out),
+                    input: Box::new(p.input),
+                    group_by: p.group_by,
+                    aggs: p.aggs,
+                    schema: schema.project(&p.kept),
                 },
-                kept_out,
+                p.kept,
+            )
+        }
+        LogicalPlan::AggregateAnnotate {
+            input,
+            group_by,
+            aggs,
+            annotate,
+            schema,
+        } => {
+            let p = prune_aggregate(*input, &group_by, &aggs, &annotate, required);
+            (
+                LogicalPlan::AggregateAnnotate {
+                    input: Box::new(p.input),
+                    group_by: p.group_by,
+                    aggs: p.aggs,
+                    annotate: p.annotate,
+                    schema: schema.project(&p.kept),
+                },
+                p.kept,
             )
         }
         // Only UNION ALL is column-wise prunable: every set-semantics
@@ -808,6 +799,69 @@ fn prune(plan: LogicalPlan, required: &[usize]) -> (LogicalPlan, Vec<usize>) {
             });
             (other, (0..arity).collect())
         }
+    }
+}
+
+/// An aggregation rebuilt over a pruned input.
+struct PrunedAggregate {
+    input: LogicalPlan,
+    group_by: Vec<ScalarExpr>,
+    aggs: Vec<AggCall>,
+    annotate: Vec<usize>,
+    /// The node's original output positions it still produces.
+    kept: Vec<usize>,
+}
+
+/// Prune an aggregation (with `annotate` columns after its group and
+/// aggregate columns, for `AggregateAnnotate`) to the `required` output
+/// positions. Group columns define the groups, so all stay; aggregates
+/// and annotate columns stay only if required.
+fn prune_aggregate(
+    input: LogicalPlan,
+    group_by: &[ScalarExpr],
+    aggs: &[AggCall],
+    annotate: &[usize],
+    required: &[usize],
+) -> PrunedAggregate {
+    let g = group_by.len();
+    let n_agg = g + aggs.len();
+    let kept_aggs: Vec<usize> = (0..aggs.len())
+        .filter(|&j| required.contains(&(g + j)))
+        .collect();
+    let kept_annotate: Vec<usize> = (0..annotate.len())
+        .filter(|&k| required.contains(&(n_agg + k)))
+        .collect();
+    let kept: Vec<usize> = (0..g)
+        .chain(kept_aggs.iter().map(|&j| g + j))
+        .chain(kept_annotate.iter().map(|&k| n_agg + k))
+        .collect();
+    let mut child_req = union_refs(
+        &[],
+        group_by
+            .iter()
+            .chain(kept_aggs.iter().filter_map(|&j| aggs[j].arg.as_ref())),
+    );
+    child_req.extend(kept_annotate.iter().map(|&k| annotate[k]));
+    child_req.sort_unstable();
+    child_req.dedup();
+    let (input, child_kept) = prune(input, &child_req);
+    let remap = |e: &ScalarExpr| e.map_columns(&|i| remap_pos(&child_kept, i));
+    PrunedAggregate {
+        group_by: group_by.iter().map(remap).collect(),
+        aggs: kept_aggs
+            .iter()
+            .map(|&j| AggCall {
+                func: aggs[j].func,
+                arg: aggs[j].arg.as_ref().map(remap),
+                distinct: aggs[j].distinct,
+            })
+            .collect(),
+        annotate: kept_annotate
+            .iter()
+            .map(|&k| remap_pos(&child_kept, annotate[k]))
+            .collect(),
+        input,
+        kept,
     }
 }
 
@@ -879,6 +933,19 @@ fn map_children_once(
             input: Box::new(f(*input)),
             group_by,
             aggs,
+            schema,
+        },
+        LogicalPlan::AggregateAnnotate {
+            input,
+            group_by,
+            aggs,
+            annotate,
+            schema,
+        } => LogicalPlan::AggregateAnnotate {
+            input: Box::new(f(*input)),
+            group_by,
+            aggs,
+            annotate,
             schema,
         },
         LogicalPlan::Distinct { input } => LogicalPlan::Distinct {

@@ -710,6 +710,7 @@ fn verify_node(plan: &PhysicalPlan, pass: &str, path: &str) -> Result<Schema> {
             input,
             group_by,
             aggs,
+            annotate,
             ..
         } => {
             let in_schema = verify_node(input, pass, path)?;
@@ -743,6 +744,12 @@ fn verify_node(plan: &PhysicalPlan, pass: &str, path: &str) -> Result<Schema> {
                 if let Some(arg) = &call.arg {
                     exprs.push(arg);
                 }
+            }
+            // Annotate mode: group columns ++ aggregate columns ++ the
+            // carried input columns.
+            if let Some(cols) = annotate {
+                check_slots(cols, in_schema.len(), pass, path, "annotate")?;
+                types.extend(cols.iter().map(|&c| in_schema.column(c).ty));
             }
             check_dop(plan, &exprs, pass, path)?;
             Ok(synthesized(types))
@@ -899,6 +906,7 @@ mod tests {
                 arg: Some(ScalarExpr::Column(1)),
                 distinct: true,
             }],
+            annotate: None,
             dop: 2,
             spill: None,
         };
@@ -1028,6 +1036,7 @@ mod tests {
                 arg: Some(ScalarExpr::Column(1)),
                 distinct: true,
             }],
+            annotate: None,
             dop: 1,
             spill: Some(8),
         };

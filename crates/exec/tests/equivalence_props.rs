@@ -30,6 +30,12 @@
 //!    spilling: the result is either exactly the reference answer or
 //!    the typed `cancelled` error — never a panic, never a wrong or
 //!    truncated answer — and the memory pool always drains to zero.
+//! 6. **Fused aggregation provenance vs. its join-back** — random
+//!    `SELECT PROVENANCE` aggregates over SPJ inputs, rewritten under
+//!    every contribution semantics, run through the one-pass
+//!    group-and-annotate operator at DOP 1, at DOP 3 and spilling; each
+//!    must equal the nested-loop reference, which evaluates the fused
+//!    node by its definition (aggregate, then a `<=>` join-back).
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -392,6 +398,170 @@ fn sorted(mut rows: Vec<Tuple>) -> Vec<Tuple> {
         std::cmp::Ordering::Equal
     });
     rows
+}
+
+// ----------------------------------------------------------------------
+// Aggregation provenance generator: SPJ input, random aggregate
+// ----------------------------------------------------------------------
+
+#[derive(Debug, Clone)]
+struct AggProvCase {
+    /// `t1(k float, a int, b int)`: `k` draws NULL, 0.0, -0.0 and a few
+    /// other floats, so NULL and signed-zero groups occur.
+    t1_rows: Vec<(Option<f64>, Option<i64>, Option<i64>)>,
+    t2_rows: Vec<(Option<i64>, Option<i64>)>,
+    /// 0 = t1 alone, 1 = t1 ⋈ t2 on a = c, 2 = t1 ⟕ t2 on a = c.
+    join: usize,
+    /// Optional filter `a >= lit` over the input.
+    filter_lit: Option<i64>,
+    /// 0 = global aggregate, 1 = GROUP BY k, 2 = GROUP BY k, a.
+    grouping: usize,
+    /// Add `count(DISTINCT a)`.
+    distinct: bool,
+    /// Add `sum(b / a)`, which errors on any row with a = 0.
+    erroring: bool,
+    semantics: perm_rewrite::ContributionSemantics,
+}
+
+fn agg_prov_case() -> impl Strategy<Value = AggProvCase> {
+    use perm_rewrite::{ContributionSemantics, CopyMode};
+    fn key() -> impl Strategy<Value = Option<f64>> {
+        proptest::option::of(prop_oneof![Just(0.0), Just(-0.0), Just(1.5), Just(-2.0),])
+    }
+    fn cell() -> impl Strategy<Value = Option<i64>> {
+        proptest::option::of(-2i64..3)
+    }
+    (
+        (
+            prop::collection::vec((key(), cell(), cell()), 0..10),
+            prop::collection::vec((cell(), cell()), 0..8),
+            0..3usize,
+            proptest::option::of(-1i64..2),
+        ),
+        (0..3usize, any::<bool>(), any::<bool>(), 0..4usize),
+    )
+        .prop_map(
+            |((t1_rows, t2_rows, join, filter_lit), (grouping, distinct, erroring, sem))| {
+                AggProvCase {
+                    t1_rows,
+                    t2_rows,
+                    join,
+                    filter_lit,
+                    grouping,
+                    distinct,
+                    erroring,
+                    semantics: match sem {
+                        0 => ContributionSemantics::Influence,
+                        1 => ContributionSemantics::Copy(CopyMode::Partial),
+                        2 => ContributionSemantics::Copy(CopyMode::Complete),
+                        _ => ContributionSemantics::Lineage,
+                    },
+                }
+            },
+        )
+}
+
+fn agg_prov_catalog(case: &AggProvCase) -> Catalog {
+    let mut t1 = Table::new(
+        "t1",
+        Schema::new(vec![
+            Column::new("k", DataType::Float),
+            Column::new("a", DataType::Int),
+            Column::new("b", DataType::Int),
+        ]),
+    );
+    for (k, a, b) in &case.t1_rows {
+        t1.insert(Tuple::new(vec![
+            k.map(Value::Float).unwrap_or(Value::Null),
+            a.map(Value::Int).unwrap_or(Value::Null),
+            b.map(Value::Int).unwrap_or(Value::Null),
+        ]))
+        .expect("generated row matches schema");
+    }
+    let mut cat = Catalog::new();
+    cat.create_table(t1).unwrap();
+    cat.create_table(int_table("t2", ["c", "d"], &case.t2_rows))
+        .unwrap();
+    cat
+}
+
+/// The original query of `case`: an aggregate over an SPJ input.
+fn agg_prov_plan(case: &AggProvCase, cat: &Catalog) -> LogicalPlan {
+    let scan = |name: &str| LogicalPlan::Scan {
+        table: name.into(),
+        schema: cat.table(name).unwrap().schema().clone(),
+        provenance_cols: vec![],
+    };
+    let mut plan = scan("t1");
+    if case.join > 0 {
+        let kind = if case.join == 1 {
+            JoinType::Inner
+        } else {
+            JoinType::Left
+        };
+        let cond = ScalarExpr::eq(ScalarExpr::Column(1), ScalarExpr::Column(3));
+        plan = LogicalPlan::join(plan, scan("t2"), kind, Some(cond)).unwrap();
+    }
+    if let Some(lit) = case.filter_lit {
+        plan = LogicalPlan::filter(
+            plan,
+            ScalarExpr::binary(
+                BinOp::GtEq,
+                ScalarExpr::Column(1),
+                ScalarExpr::Literal(Value::Int(lit)),
+            ),
+        );
+    }
+    let (group_by, mut columns) = match case.grouping {
+        0 => (vec![], vec![]),
+        1 => (
+            vec![ScalarExpr::Column(0)],
+            vec![Column::new("k", DataType::Float)],
+        ),
+        _ => (
+            vec![ScalarExpr::Column(0), ScalarExpr::Column(1)],
+            vec![
+                Column::new("k", DataType::Float),
+                Column::new("a", DataType::Int),
+            ],
+        ),
+    };
+    let call = |func, arg, distinct| AggCall {
+        func,
+        arg,
+        distinct,
+    };
+    let mut aggs = vec![
+        call(AggFunc::Count, None, false),
+        call(AggFunc::Sum, Some(ScalarExpr::Column(1)), false),
+        call(AggFunc::Min, Some(ScalarExpr::Column(0)), false),
+    ];
+    columns.extend([
+        Column::new("n", DataType::Int),
+        Column::new("s", DataType::Int),
+        Column::new("lo", DataType::Float),
+    ]);
+    if case.distinct {
+        aggs.push(call(AggFunc::Count, Some(ScalarExpr::Column(1)), true));
+        columns.push(Column::new("nd", DataType::Int));
+    }
+    if case.erroring {
+        let ratio = ScalarExpr::binary(BinOp::Div, ScalarExpr::Column(2), ScalarExpr::Column(1));
+        aggs.push(call(AggFunc::Sum, Some(ratio), false));
+        columns.push(Column::new("r", DataType::Int));
+    }
+    LogicalPlan::Aggregate {
+        input: Box::new(plan),
+        group_by,
+        aggs,
+        schema: Schema::new(columns),
+    }
+}
+
+/// True if `plan` contains the fused aggregation provenance node.
+fn has_fused_aggregate(plan: &LogicalPlan) -> bool {
+    matches!(plan, LogicalPlan::AggregateAnnotate { .. })
+        || plan.children().into_iter().any(has_fused_aggregate)
 }
 
 // ----------------------------------------------------------------------
@@ -952,6 +1122,94 @@ proptest! {
             ),
             (Err(h), Err(n)) => prop_assert_eq!(h.to_string(), n.to_string()),
             (h, n) => prop_assert!(false, "one executor failed: hash={:?} nlj={:?}", h, n),
+        }
+    }
+
+    /// Aggregation provenance over an SPJ input is rewritten into the
+    /// fused group-and-annotate operator, and that operator answers
+    /// exactly what its definition — the aggregate, then the NULL-safe
+    /// LEFT join-back — answers: with and without GROUP BY, over NULL and
+    /// signed-zero group keys, empty inputs, DISTINCT aggregates and an
+    /// aggregate argument that errors, under PI-CS, Copy-CS partial and
+    /// complete, and Lineage. The fused plan runs optimized at DOP 1, at
+    /// forced DOP 3 and under a 1-byte pool that forces spilling; each
+    /// run must give the nested-loop reference's sorted rows or its
+    /// error, and the pool must drain.
+    #[test]
+    fn fused_aggregate_provenance_matches_join_back(case in agg_prov_case()) {
+        let cat = agg_prov_catalog(&case);
+        let original = agg_prov_plan(&case, &cat);
+        let rewritten = perm_rewrite::Rewriter::basic()
+            .rewrite(&original, Some(case.semantics))
+            .map_err(|e| TestCaseError::fail(format!("rewrite: {e}")))?
+            .plan;
+        prop_assert!(
+            has_fused_aggregate(&rewritten),
+            "an SPJ input must fuse the join-back: {:?}",
+            case
+        );
+        let cat = Arc::new(cat);
+        let reference = Executor::new_nested_loop_only(Arc::clone(&cat)).run(&rewritten);
+        let optimized = match optimize_verified(rewritten, &CatalogStats(&cat)) {
+            Ok(p) => p,
+            Err(e) => return Err(TestCaseError::fail(format!("verifier: {e}"))),
+        };
+        // DISTINCT aggregates keep their seen-sets in memory by design
+        // (`spill: None`); a starved pool refuses them with the typed
+        // resource error, so only the spillable plans run starved.
+        let spillable = !case.distinct || case.grouping == 0;
+        let modes: &[(usize, usize, bool)] = if spillable {
+            &[(1, 2, false), (3, 1, false), (1, 2, true)]
+        } else {
+            &[(1, 2, false), (3, 1, false)]
+        };
+        for &(dop, threshold, spill) in modes {
+            if let Err(e) = perm_exec::PhysicalPlanner::new(&cat)
+                .max_parallelism(dop)
+                .parallel_threshold(threshold)
+                .plan_verified(&optimized)
+            {
+                return Err(TestCaseError::fail(format!("physical verifier: {e}")));
+            }
+            let exec = Executor::new(Arc::clone(&cat))
+                .with_parallelism(dop, threshold)
+                .with_verification(true);
+            let pool = if spill {
+                MemoryPool::with_budget(1)
+            } else {
+                MemoryPool::unbounded()
+            };
+            let got = exec
+                .with_memory(QueryMemory::new(pool.clone(), None))
+                .run(&optimized);
+            match (&reference, got) {
+                (Ok(r), Ok(g)) => prop_assert_eq!(
+                    sorted(r.clone()),
+                    sorted(g),
+                    "fused diverges (dop {}, spill {}) for {:?}",
+                    dop,
+                    spill,
+                    case
+                ),
+                (Err(r), Err(g)) => prop_assert_eq!(
+                    r.to_string(),
+                    g.to_string(),
+                    "errors diverge (dop {}, spill {}) for {:?}",
+                    dop,
+                    spill,
+                    case
+                ),
+                (r, g) => prop_assert!(
+                    false,
+                    "one side failed (dop {}, spill {}): reference={:?} fused={:?} case={:?}",
+                    dop,
+                    spill,
+                    r,
+                    g,
+                    case
+                ),
+            }
+            prop_assert_eq!(pool.used(), 0, "pool must drain to zero after the query");
         }
     }
 }

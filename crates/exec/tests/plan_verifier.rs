@@ -14,7 +14,10 @@
 //! * physical ([`perm_exec::verify_physical`]): operator arity plumbing
 //!   and the parallel-legality rules of the morsel runtime (sublink
 //!   pipelines, FULL joins, DISTINCT aggregates and UNION ALL appends
-//!   must be serial; dop is bounded by the worker pool).
+//!   must be serial; dop is bounded by the worker pool);
+//! * both layers' invariants of the fused aggregation provenance
+//!   operator: carried slots in bounds, and an output of group columns
+//!   ++ aggregate columns ++ carried input columns.
 
 use perm_algebra::expr::{AggCall, AggFunc, ScalarExpr, SubqueryExpr, SubqueryKind};
 use perm_algebra::plan::{JoinType, LogicalPlan, SetOpType, SortKey};
@@ -293,6 +296,7 @@ fn parallel_distinct_aggregate_is_illegal() {
             arg: Some(ScalarExpr::Column(0)),
             distinct: true,
         }],
+        annotate: None,
         dop: 2,
         spill: None,
     };
@@ -483,6 +487,145 @@ fn batch_width_of_fused_scan_is_the_base_schema() {
     };
     let err = verify_physical(&plan, "physical-planning").unwrap_err();
     assert_names(&err, "batch-width", "physical-planning");
+}
+
+// ----------------------------------------------------------------------
+// The fused aggregation provenance operator (logical AggregateAnnotate,
+// physical HashAggregate in annotate mode)
+// ----------------------------------------------------------------------
+
+/// `AggregateAnnotate` over `t(a, b)`: GROUP BY a, count(*), carrying
+/// `annotate`.
+fn fused_aggregate(annotate: Vec<usize>) -> LogicalPlan {
+    let agg_schema = Schema::new(vec![
+        Column::new("a", DataType::Int),
+        Column::new("count", DataType::Int),
+    ]);
+    LogicalPlan::aggregate_annotate(
+        scan(),
+        vec![ScalarExpr::Column(0)],
+        vec![AggCall {
+            func: AggFunc::Count,
+            arg: None,
+            distinct: false,
+        }],
+        &agg_schema,
+        annotate,
+    )
+}
+
+#[test]
+fn well_formed_fused_aggregate_verifies_clean() {
+    verify_logical(&fused_aggregate(vec![0, 1]), "provenance-rewrite").unwrap();
+    let physical = PhysicalPlan::HashAggregate {
+        input: values(2),
+        group_by: vec![ScalarExpr::Column(0)],
+        aggs: vec![],
+        annotate: Some(vec![1, 0]),
+        dop: 1,
+        spill: Some(8),
+    };
+    verify_physical(&physical, "physical-planning").unwrap();
+}
+
+#[test]
+fn fused_aggregate_carrying_a_missing_column_is_slot_bounds_violation() {
+    // Column pruning that drops an input column the node still carries.
+    let plan = match fused_aggregate(vec![1]) {
+        LogicalPlan::AggregateAnnotate {
+            input,
+            group_by,
+            aggs,
+            schema,
+            ..
+        } => LogicalPlan::AggregateAnnotate {
+            input,
+            group_by,
+            aggs,
+            annotate: vec![5],
+            schema,
+        },
+        other => panic!("not fused: {other:?}"),
+    };
+    let err = verify_logical(&plan, "column-pruning").unwrap_err();
+    assert_names(&err, "slot-bounds", "column-pruning");
+}
+
+#[test]
+fn fused_aggregate_schema_must_be_groups_aggregates_then_carried_columns() {
+    // One declared column too few: the annotate block is cut short.
+    let short = match fused_aggregate(vec![0, 1]) {
+        LogicalPlan::AggregateAnnotate {
+            input,
+            group_by,
+            aggs,
+            annotate,
+            schema,
+        } => LogicalPlan::AggregateAnnotate {
+            input,
+            group_by,
+            aggs,
+            annotate,
+            schema: schema.project(&[0, 1, 2]),
+        },
+        other => panic!("not fused: {other:?}"),
+    };
+    let err = verify_logical(&short, "provenance-rewrite").unwrap_err();
+    assert_names(&err, "schema-arity", "provenance-rewrite");
+
+    // The right count, but the carried column is not the input column
+    // it claims to copy.
+    let drifted = match fused_aggregate(vec![0]) {
+        LogicalPlan::AggregateAnnotate {
+            input,
+            group_by,
+            aggs,
+            schema,
+            ..
+        } => LogicalPlan::AggregateAnnotate {
+            input,
+            group_by,
+            aggs,
+            annotate: vec![1],
+            schema,
+        },
+        other => panic!("not fused: {other:?}"),
+    };
+    let err = verify_logical(&drifted, "provenance-rewrite").unwrap_err();
+    assert_names(&err, "schema-consistency", "provenance-rewrite");
+}
+
+#[test]
+fn physical_annotate_slot_out_of_range() {
+    let plan = PhysicalPlan::HashAggregate {
+        input: values(2),
+        group_by: vec![ScalarExpr::Column(0)],
+        aggs: vec![],
+        annotate: Some(vec![0, 2]),
+        dop: 1,
+        spill: Some(8),
+    };
+    let err = verify_physical(&plan, "physical-planning").unwrap_err();
+    assert_names(&err, "slot-bounds", "physical-planning");
+    assert!(err.message().contains("annotate"), "{err}");
+}
+
+#[test]
+fn parallel_distinct_fused_aggregate_is_illegal() {
+    let plan = PhysicalPlan::HashAggregate {
+        input: values(1),
+        group_by: vec![],
+        aggs: vec![AggCall {
+            func: AggFunc::Count,
+            arg: Some(ScalarExpr::Column(0)),
+            distinct: true,
+        }],
+        annotate: Some(vec![0]),
+        dop: 2,
+        spill: None,
+    };
+    let err = verify_physical(&plan, "physical-planning").unwrap_err();
+    assert_names(&err, "parallel-legality", "physical-planning");
 }
 
 // ----------------------------------------------------------------------

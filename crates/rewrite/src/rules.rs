@@ -46,6 +46,13 @@ pub struct Rewritten {
     /// into that column — the static copy map driving Copy-CS
     /// (Where-provenance) semantics.
     pub copy_sets: Vec<BTreeSet<usize>>,
+    /// True if `plan` holds exactly one row per row of the original
+    /// operator, carrying that row's values in the `orig` columns. Scans,
+    /// filters, projections, sorts and joins keep this (each rewritten row
+    /// stands for one original row); aggregation, DISTINCT, set
+    /// operations, sublinks and `BASERELATION` boundaries clear it. The
+    /// aggregation rule fuses its join-back only over inputs that keep it.
+    pub keeps_multiplicity: bool,
 }
 
 impl Rewritten {
@@ -58,6 +65,7 @@ impl Rewritten {
             prov: vec![],
             attrs: vec![],
             copy_sets: vec![BTreeSet::new(); n],
+            keeps_multiplicity: true,
         }
     }
 
@@ -106,6 +114,7 @@ impl Rewritten {
             prov: (n..n + self.prov.len()).collect(),
             attrs: self.attrs,
             copy_sets: self.copy_sets,
+            keeps_multiplicity: self.keeps_multiplicity,
         }
     }
 }
@@ -158,6 +167,11 @@ impl<'a> Ctx<'a> {
                 aggs,
                 schema,
             } => aggregate::rewrite_aggregate(self, plan, input, group_by, aggs, schema),
+            LogicalPlan::AggregateAnnotate { .. } => Err(PermError::Rewrite(
+                "the fused aggregation provenance operator is introduced by the \
+                 rewriter itself and cannot be re-rewritten"
+                    .into(),
+            )),
             LogicalPlan::Distinct { input } => self.rewrite_distinct(input),
             LogicalPlan::SetOp {
                 op,
@@ -215,6 +229,7 @@ impl<'a> Ctx<'a> {
                 prov: provenance_cols.to_vec(),
                 attrs,
                 copy_sets,
+                keeps_multiplicity: true,
             };
         }
         duplicate_as_provenance(plan, table, self.next_group())
@@ -230,11 +245,12 @@ impl<'a> Ctx<'a> {
         match kind {
             // Stop the rewrite: the subtree is executed as-is and its
             // output tuples are treated like base tuples.
-            BoundaryKind::BaseRelation => Ok(duplicate_as_provenance(
-                input.clone(),
-                name,
-                self.next_group(),
-            )),
+            // The boundary's subtree is opaque to the rule set, so the
+            // aggregation rule conservatively keeps its join-back over it.
+            BoundaryKind::BaseRelation => Ok(Rewritten {
+                keeps_multiplicity: false,
+                ..duplicate_as_provenance(input.clone(), name, self.next_group())
+            }),
             // The listed attributes already are provenance; propagate them.
             BoundaryKind::External { attrs } => {
                 let schema = input.schema();
@@ -253,6 +269,7 @@ impl<'a> Ctx<'a> {
                     prov: attrs.clone(),
                     attrs: infos,
                     copy_sets,
+                    keeps_multiplicity: true,
                 })
             }
         }
@@ -295,6 +312,7 @@ impl<'a> Ctx<'a> {
             prov: (n..n + rt.prov.len()).collect(),
             attrs: rt.attrs,
             copy_sets,
+            keeps_multiplicity: rt.keeps_multiplicity,
         })
     }
 
@@ -359,6 +377,7 @@ impl<'a> Ctx<'a> {
             .copied()
             .chain(rt.prov.iter().map(|&p| shift + p))
             .collect();
+        let keeps_multiplicity = lt.keeps_multiplicity && rt.keeps_multiplicity;
         let mut attrs = lt.attrs;
         attrs.extend(rt.attrs);
         let prov_shift = lt.prov.len();
@@ -374,6 +393,7 @@ impl<'a> Ctx<'a> {
             prov,
             attrs,
             copy_sets,
+            keeps_multiplicity,
         })
     }
 
@@ -389,6 +409,7 @@ impl<'a> Ctx<'a> {
             prov: rt.prov,
             attrs: rt.attrs,
             copy_sets: rt.copy_sets,
+            keeps_multiplicity: false,
         })
     }
 
@@ -438,6 +459,7 @@ pub fn duplicate_as_provenance(plan: LogicalPlan, relation: &str, group: usize) 
         attrs,
         // Each original column is (trivially) a copy of its duplicate.
         copy_sets: (0..n).map(|i| BTreeSet::from([i])).collect(),
+        keeps_multiplicity: true,
     }
 }
 
@@ -467,6 +489,7 @@ pub fn pad_null_provenance(rw: Rewritten, pad_attrs: &[ProvAttrInfo]) -> Rewritt
         prov: (n..n + p + pad_attrs.len()).collect(),
         attrs,
         copy_sets: rw.copy_sets,
+        keeps_multiplicity: rw.keeps_multiplicity,
     }
 }
 

@@ -127,6 +127,7 @@ fn padded_union(
         prov: (n..n + pl + pr).collect(),
         attrs,
         copy_sets,
+        keeps_multiplicity: false,
     })
 }
 
@@ -159,6 +160,7 @@ fn join_back_union(
         prov: (n..n + p).collect(),
         attrs: padded.attrs,
         copy_sets: padded.copy_sets,
+        keeps_multiplicity: false,
     })
 }
 
@@ -221,6 +223,7 @@ fn rewrite_intersect(
         prov: (n..n + pl + pr).collect(),
         attrs,
         copy_sets,
+        keeps_multiplicity: false,
     })
 }
 
@@ -275,6 +278,7 @@ fn rewrite_except(
                 prov: (n..n + pl + pr).collect(),
                 attrs,
                 copy_sets,
+                keeps_multiplicity: false,
             })
         }
         Semantics::Influence | Semantics::Copy(_) => {
@@ -285,6 +289,7 @@ fn rewrite_except(
                 prov: (n..n + pl).collect(),
                 attrs: lt.attrs,
                 copy_sets,
+                keeps_multiplicity: false,
             };
             Ok(crate::rules::pad_null_provenance(rw, &rt.attrs))
         }
@@ -338,5 +343,6 @@ fn align(rw: Rewritten, before: &[ProvAttrInfo], after: &[ProvAttrInfo]) -> Rewr
         prov: (n..n + total).collect(),
         attrs: rw.attrs, // caller rebuilds the combined attribute list
         copy_sets: rw.copy_sets,
+        keeps_multiplicity: false,
     }
 }

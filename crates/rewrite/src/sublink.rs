@@ -109,6 +109,7 @@ pub fn rewrite_filter_with_sublinks(
                 .collect(),
             attrs,
             copy_sets: acc.copy_sets,
+            keeps_multiplicity: false,
         };
         let _ = (sub_n, sub_p);
     }
@@ -122,6 +123,9 @@ pub fn rewrite_filter_with_sublinks(
         }
         acc = pad_null_provenance(acc, &pad);
     }
+    // A positive sublink replicates the outer row per witness; a negated
+    // one keeps it, but sublink inputs keep the join-back conservatively.
+    acc.keeps_multiplicity = false;
     Ok(acc)
 }
 

@@ -326,10 +326,29 @@ fn except_under_lineage_joins_whole_right_side() {
 // Aggregation rule
 // ----------------------------------------------------------------------
 
+/// The plan tree of `p` with its fused aggregation node (if any)
+/// replaced by that node's definition, the join-back: the fused
+/// operator must *mean* exactly the paper's rule.
+fn join_back_tree(p: &LogicalPlan) -> String {
+    fn find(p: &LogicalPlan) -> Option<&LogicalPlan> {
+        if matches!(p, LogicalPlan::AggregateAnnotate { .. }) {
+            return Some(p);
+        }
+        p.children().into_iter().find_map(find)
+    }
+    let fused = find(p).expect("an SPJ input fuses its join-back");
+    plan_tree(&fused.join_back_form().expect("fused node has a definition"))
+}
+
 #[test]
 fn aggregation_joins_back_on_group_attributes() {
     let p = rewrite_sql("SELECT PROVENANCE uid, count(*) FROM approved GROUP BY uid");
-    let tree = plan_tree(&p);
+    assert!(
+        plan_tree(&p).contains("AggregateAnnotate"),
+        "{}",
+        plan_tree(&p)
+    );
+    let tree = join_back_tree(&p);
     assert!(
         tree.contains("LeftJoin on (#0 IS NOT DISTINCT FROM"),
         "NULL-safe join-back expected:\n{tree}"
@@ -349,7 +368,7 @@ fn aggregation_joins_back_on_group_attributes() {
 #[test]
 fn global_aggregate_joins_on_true() {
     let p = rewrite_sql("SELECT PROVENANCE count(*) FROM messages");
-    let tree = plan_tree(&p);
+    let tree = join_back_tree(&p);
     assert!(tree.contains("LeftJoin on true"), "{tree}");
 }
 

@@ -12,6 +12,9 @@
 //! 4. union provenance rows carry exactly one non-NULL witness side;
 //! 5. `COPY` provenance is a NULL-masked version of `INFLUENCE`
 //!    provenance.
+//! 6. aggregation provenance fuses its join-back only over inputs that
+//!    keep multiplicity, and fused or not, its original columns are the
+//!    original query's result.
 
 use std::collections::HashSet;
 
@@ -32,6 +35,98 @@ fn db_from(t_rows: &[(i64, i64)], u_rows: &[i64]) -> PermDb {
         db.execute(&format!("INSERT INTO u VALUES ({a})")).unwrap();
     }
     db
+}
+
+/// Aggregation queries whose input rewrite keeps multiplicity (one `T+`
+/// row per `T` row): the rewrite fuses their join-back.
+const FUSED_AGGREGATES: [&str; 3] = [
+    "SELECT a, count(*), sum(b) FROM t GROUP BY a",
+    "SELECT t.a, count(*) FROM t JOIN u ON t.a = u.a WHERE b > 0 GROUP BY t.a",
+    "SELECT count(*), min(b) FROM t",
+];
+
+/// Aggregation queries over inputs that replicate or merge rows — a
+/// union, DISTINCT, a nested aggregate, an IN sublink, a `BASERELATION`
+/// view: the rewrite keeps the join-back.
+const JOIN_BACK_AGGREGATES: [&str; 5] = [
+    "SELECT a, count(*) FROM (SELECT a FROM t UNION SELECT a FROM u) x GROUP BY a",
+    "SELECT a, count(*) FROM (SELECT DISTINCT a FROM t) x GROUP BY a",
+    "SELECT n, count(*) FROM (SELECT a, count(*) AS n FROM t GROUP BY a) x GROUP BY n",
+    "SELECT a, count(*) FROM t WHERE a IN (SELECT a FROM u) GROUP BY a",
+    "SELECT a, count(*) FROM vt BASERELATION GROUP BY a",
+];
+
+/// The `SELECT PROVENANCE` form of a plain `SELECT`.
+fn provenance_of(sql: &str) -> String {
+    format!("SELECT PROVENANCE {}", sql.trim_start_matches("SELECT "))
+}
+
+/// The `EXPLAIN` lines of `sql`.
+fn explain(db: &mut PermDb, sql: &str) -> Vec<String> {
+    db.query(&format!("EXPLAIN {sql}"))
+        .unwrap()
+        .rows
+        .iter()
+        .map(|r| r.get(0).to_string())
+        .collect()
+}
+
+#[test]
+fn aggregation_fuses_its_join_back_only_over_multiplicity_keeping_inputs() {
+    let mut db = db_from(&[(1, 2), (1, 3), (2, 5)], &[1, 2]);
+    db.execute("CREATE VIEW vt AS SELECT a, b FROM t").unwrap();
+    let is_join_back = |l: &String| l.contains("Join(Left");
+    for sql in FUSED_AGGREGATES {
+        let plan = explain(&mut db, &provenance_of(sql));
+        assert!(
+            plan.iter().any(|l| l.contains("annotate=")),
+            "{sql}: expected the fused operator:\n{}",
+            plan.join("\n")
+        );
+        assert!(
+            !plan.iter().any(is_join_back),
+            "{sql}: the fused plan evaluates T+ once, with no join-back:\n{}",
+            plan.join("\n")
+        );
+    }
+    for sql in JOIN_BACK_AGGREGATES {
+        let plan = explain(&mut db, &provenance_of(sql));
+        assert!(
+            plan.iter().any(is_join_back),
+            "{sql}: the input does not keep multiplicity, so the LEFT join-back stays:\n{}",
+            plan.join("\n")
+        );
+    }
+}
+
+#[test]
+fn fused_aggregation_deparses_to_its_join_back() {
+    // The rewritten SQL (browser marker 2) prints the paper's rule, and
+    // re-executes to the fused operator's answer.
+    let mut db = db_from(&[(1, 2), (1, 3), (2, 5), (3, -1)], &[1, 2]);
+    for sql in FUSED_AGGREGATES {
+        let panels = perm_core::BrowserPanels::capture(&mut db, &provenance_of(sql)).unwrap();
+        assert!(
+            panels.rewritten_sql.contains(" LEFT JOIN "),
+            "{sql}: {}",
+            panels.rewritten_sql
+        );
+        if sql.contains("GROUP BY") {
+            assert!(
+                panels.rewritten_sql.contains("IS NOT DISTINCT FROM"),
+                "{sql}: {}",
+                panels.rewritten_sql
+            );
+        }
+        let re_run = db.query(&panels.rewritten_sql).unwrap();
+        let n = panels.results.columns.len();
+        assert_eq!(panels.results.row_count(), re_run.row_count(), "{sql}");
+        assert_eq!(
+            value_set(&panels.results.rows, 0..n),
+            value_set(&re_run.rows, 0..n),
+            "{sql}"
+        );
+    }
 }
 
 fn value_set(rows: &[perm_core::Tuple], cols: std::ops::Range<usize>) -> HashSet<Vec<Value>> {
@@ -126,6 +221,27 @@ proptest! {
             value_set(&original.rows, 0..2),
             value_set(&prov.rows, 0..2)
         );
+    }
+
+    /// Property 6: fused or not, the original columns of an aggregation's
+    /// provenance, taken as a set, are the original result.
+    #[test]
+    fn aggregation_provenance_original_columns_equal_the_query(
+        t_rows in prop::collection::vec((-3i64..3, -5i64..5), 0..20),
+        u_rows in prop::collection::vec(-3i64..3, 0..10),
+    ) {
+        let mut db = db_from(&t_rows, &u_rows);
+        db.execute("CREATE VIEW vt AS SELECT a, b FROM t").unwrap();
+        for sql in FUSED_AGGREGATES.iter().chain(&JOIN_BACK_AGGREGATES) {
+            let original = db.query(sql).unwrap();
+            let prov = db.query(&provenance_of(sql)).unwrap();
+            let n = original.columns.len();
+            prop_assert_eq!(
+                value_set(&original.rows, 0..n),
+                value_set(&prov.rows, 0..n),
+                "{}", sql
+            );
+        }
     }
 
     /// Property 4: union witness sides are exclusive.
