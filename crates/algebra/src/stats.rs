@@ -4,7 +4,7 @@
 //! cardinality information in the pipeline:
 //!
 //! * the provenance rewriter's cost-based *strategy* chooser
-//!   (`perm_rewrite::cost` re-exports this module), which ranks
+//!   (`perm_rewrite::rules` and `perm_rewrite::setops`), which ranks
 //!   alternative rewrites of the same operator, and
 //! * the executor's *physical* planner, which picks join order, join
 //!   strategy (hash / nested-loop / index-nested-loop), build sides and

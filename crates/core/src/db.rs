@@ -12,8 +12,8 @@
 
 use std::sync::Arc;
 
+use perm_algebra::stats::CardinalityEstimator;
 use perm_algebra::LogicalPlan;
-use perm_rewrite::CardinalityEstimator;
 use perm_storage::{Catalog, CatalogWriteGuard};
 use perm_types::{Result, Schema, Tuple};
 

@@ -48,7 +48,7 @@ use perm_exec::{
 };
 use perm_rewrite::Rewriter;
 use perm_sql::{parse_statement, parse_statements, ObjectKind, Statement};
-use perm_storage::{failpoint, Catalog, CatalogWriteGuard, SharedCatalog, Table};
+use perm_storage::{Catalog, CatalogWriteGuard, SharedCatalog, Table};
 use perm_storage::{DurableStore, WalRecord, WAL_FILE};
 use perm_types::{Column, PermError, QueryContext, Result, Schema, Tuple};
 
@@ -175,8 +175,8 @@ impl PermServer {
     /// [`PermServer::open`] with explicit [`DurabilityOptions`].
     pub fn open_with(dir: impl AsRef<Path>, options: DurabilityOptions) -> Result<PermServer> {
         match &options.failpoints {
-            Some(spec) => failpoint::configure(spec)?,
-            None => failpoint::configure_from_env()?,
+            Some(spec) => perm_fault::configure(spec)?,
+            None => perm_fault::configure_from_env()?,
         }
         let dir = dir.as_ref();
         let outcome = DurableStore::open(dir, options.fsync)?;
@@ -1320,7 +1320,7 @@ mod tests {
         fn fp_lock() -> MutexGuard<'static, ()> {
             static LOCK: Mutex<()> = Mutex::new(());
             let g = LOCK.lock().unwrap_or_else(PoisonError::into_inner);
-            failpoint::clear();
+            perm_fault::clear();
             g
         }
 
@@ -1335,7 +1335,7 @@ mod tests {
         }
         impl Drop for TempDir {
             fn drop(&mut self) {
-                failpoint::clear();
+                perm_fault::clear();
                 let _ = std::fs::remove_dir_all(&self.0);
             }
         }
@@ -1439,12 +1439,12 @@ mod tests {
             s.execute("CREATE TABLE t (x int)").unwrap();
             s.execute("INSERT INTO t VALUES (1)").unwrap();
 
-            failpoint::configure("wal.append.write=io_err").unwrap();
+            perm_fault::configure("wal.append.write=io_err").unwrap();
             let err = s.execute("INSERT INTO t VALUES (2)").unwrap_err();
             assert_eq!(err.kind(), "io");
             // Not applied in memory (no phantom row a crash would lose) …
             assert_eq!(s.query("SELECT x FROM t").unwrap().row_count(), 1);
-            failpoint::clear();
+            perm_fault::clear();
 
             // … and the log tail is intact: later commits and recovery work.
             s.execute("INSERT INTO t VALUES (3)").unwrap();

@@ -204,6 +204,68 @@ fn worker_panic_fails_one_query_and_spares_siblings() {
     assert_drained(&server);
 }
 
+#[test]
+fn row_error_stops_the_morsel_claims_of_a_parallel_scan() {
+    let _guard = perm_fault::test_guard();
+    perm_fault::clear();
+    // 100 morsels; the first row fails.
+    let rows = 100 * 2048;
+    let server = PermServer::new();
+    let session = server.session_with_options(
+        SessionOptions::default()
+            .with_max_parallelism(2)
+            .with_parallel_row_threshold(1),
+    );
+    session.execute("CREATE TABLE big (x int)").unwrap();
+    {
+        let mut w = session.catalog_write();
+        let t = w.table_mut("big").unwrap();
+        for i in 0..rows {
+            t.push_raw(Tuple::new(vec![Value::Int(i)]));
+        }
+    }
+    let plan = session
+        .query("EXPLAIN SELECT 10 / x FROM big")
+        .unwrap()
+        .to_table();
+    assert!(plan.contains("dop=2"), "{plan}");
+
+    // The site fires (as a no-op) on every claim, counting them.
+    let count_claims = "exec.morsel.claim=stall(0);exec.exchange.send=stall(0)";
+    perm_fault::configure(count_claims).unwrap();
+    let err = session.query("SELECT 10 / x FROM big").unwrap_err();
+    assert!(err.to_string().contains("division by zero"), "{err}");
+    let claims = perm_fault::fired_count("exec.morsel.claim");
+    assert!(
+        claims < 20,
+        "{claims} of 100 morsels claimed after a row error"
+    );
+    // A materialized query runs its exchange on the pool, under a LIMIT
+    // too; a stream runs it on its own producers.
+    assert_eq!(perm_fault::fired_count("exec.exchange.send"), 0);
+
+    perm_fault::configure(count_claims).unwrap();
+    let limited = session
+        .query("SELECT 10 / (x + 1) FROM big LIMIT 5000")
+        .unwrap();
+    assert_eq!(limited.rows.len(), 5000);
+    assert!(perm_fault::fired_count("exec.morsel.claim") > 0);
+    assert_eq!(perm_fault::fired_count("exec.exchange.send"), 0);
+
+    perm_fault::configure(count_claims).unwrap();
+    let streamed = session
+        .query_stream("SELECT 10 / (x + 1) FROM big LIMIT 5000")
+        .unwrap()
+        .collect_result()
+        .unwrap();
+    assert_eq!(streamed, limited);
+    assert_eq!(perm_fault::fired_count("exec.morsel.claim"), 0);
+    assert!(perm_fault::fired_count("exec.exchange.send") > 0);
+    perm_fault::clear();
+    drop(session);
+    assert_drained(&server);
+}
+
 // ----------------------------------------------------------------------
 // Server shutdown
 // ----------------------------------------------------------------------

@@ -13,7 +13,7 @@ use std::path::{Path, PathBuf};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use perm_core::{DurabilityOptions, FsyncPolicy, PermServer, Session};
-use perm_storage::{failpoint, wal, Catalog, Relation, WAL_FILE};
+use perm_storage::{wal, Catalog, Relation, WAL_FILE};
 
 /// One step of the recovery script. `Index` exercises the non-SQL WAL
 /// record kind (`CREATE INDEX` has no syntax; it is an API call).
@@ -54,7 +54,7 @@ fn run_step(session: &Session, step: &Step) -> perm_types::Result<()> {
 fn fp_lock() -> MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
     let g = LOCK.lock().unwrap_or_else(PoisonError::into_inner);
-    failpoint::clear();
+    perm_fault::clear();
     g
 }
 
@@ -68,7 +68,7 @@ impl TempDir {
 }
 impl Drop for TempDir {
     fn drop(&mut self) {
-        failpoint::clear();
+        perm_fault::clear();
         let _ = std::fs::remove_dir_all(&self.0);
     }
 }
@@ -210,7 +210,7 @@ fn kill_at_every_append_failpoint_and_statement() {
                 let server =
                     PermServer::open_with(&dir.0, opts().with_fsync(FsyncPolicy::Always)).unwrap();
                 let session = server.session();
-                failpoint::configure(&spec).unwrap();
+                perm_fault::configure(&spec).unwrap();
                 let mut applied = 0;
                 for step in SCRIPT {
                     match run_step(&session, step) {
@@ -232,7 +232,7 @@ fn kill_at_every_append_failpoint_and_statement() {
                     expected[applied],
                     "{spec} @{kill_at}"
                 );
-                failpoint::clear();
+                perm_fault::clear();
                 applied
             };
             let server = open(&dir.0);
@@ -283,7 +283,7 @@ fn checkpoint_failures_never_lose_committed_statements() {
             let session = server.session();
             // Install after open: a fresh open writes a WAL header through
             // the wal.reset sites itself.
-            failpoint::configure(site).unwrap();
+            perm_fault::configure(site).unwrap();
             let mut applied = 0;
             for step in SCRIPT {
                 match run_step(&session, step) {
@@ -296,7 +296,7 @@ fn checkpoint_failures_never_lose_committed_statements() {
                     }
                 }
             }
-            failpoint::clear();
+            perm_fault::clear();
             applied
         };
         let server = open(&dir.0);

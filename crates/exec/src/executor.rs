@@ -1,5 +1,5 @@
-//! The executor ("Executor" stage of Figure 3): interprets a
-//! [`PhysicalPlan`] against the storage catalog, operator at a time.
+//! The executor ("Executor" stage of Figure 3): runs a [`PhysicalPlan`]
+//! against the storage catalog.
 //!
 //! The executor makes **no strategy decisions**: join algorithms, build
 //! sides, index usage and operator fusion are all chosen by the physical
@@ -9,9 +9,13 @@
 //! plan once per executor (cached by plan identity) and executes the
 //! result.
 //!
-//! Joins, set operations, DISTINCT, aggregation and sorting live in
-//! [`crate::operators`]; this module provides the dispatch loop, scans,
-//! filters, projections, limits and the subquery result cache.
+//! There is one driver: [`Executor::run_physical`] builds the plan's
+//! pull-based pipeline (`pipeline` module) and drains it, and
+//! [`crate::TupleStream`] pulls the same pipeline a row at a time.
+//! Scans, filters, projections and limits stream; every other operator
+//! runs its kernel (`Executor::run_kernel`: joins, set operations,
+//! DISTINCT, aggregation and sorting live in [`crate::operators`]) on
+//! first pull. This module also holds the subquery result caches.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -24,12 +28,13 @@ use perm_algebra::expr::ScalarExpr;
 use perm_algebra::plan::LogicalPlan;
 use perm_storage::Catalog;
 
-use crate::compile::{CompiledExpr, CompiledProjection};
+use crate::compile::CompiledExpr;
 use crate::eval::{eval, Env};
-use crate::kernels::{BatchPredicate, BatchScan, VecKeys, BATCH_ROWS};
+use crate::kernels::{VecKeys, BATCH_ROWS};
 use crate::memory::QueryMemory;
 use crate::operators::{aggregate, join, setop, spill};
 use crate::physical::{PhysicalPlan, PhysicalPlanner};
+use crate::pipeline::{Node, Pipe};
 
 /// Cached first-column set of an uncorrelated IN subquery: the hashed
 /// non-NULL values plus whether a NULL was present.
@@ -265,44 +270,20 @@ impl Executor {
         self.run_physical(&physical)
     }
 
-    /// Execute a physical plan and materialize its result.
+    /// Execute a physical plan and materialize its result: build its
+    /// pipeline (`pipeline` module) and drain it with an unbounded row
+    /// goal.
     pub fn run_physical(&self, plan: &PhysicalPlan) -> Result<Vec<Tuple>> {
+        let mut rows = Vec::new();
+        Node::build(self, plan, true)?.fill(self, usize::MAX, &mut rows, &mut 0)?;
+        Ok(rows)
+    }
+
+    /// Run the kernel of an operator that does not stream (all but
+    /// scans, filters, projections and limits): the pipeline calls it on
+    /// the node's first pull and hands out the result.
+    pub(crate) fn run_kernel(&self, plan: &PhysicalPlan) -> Result<Vec<Tuple>> {
         match plan {
-            PhysicalPlan::FusedScanProjectFilter {
-                table,
-                schema,
-                filter,
-                project,
-                dop,
-                batch,
-                ..
-            } => {
-                let t = self.catalog.table(table)?;
-                check_scan_schema(t, table, schema)?;
-                if filter.is_none() && project.is_none() {
-                    // A bare scan is a bulk clone of `Arc`-shared rows;
-                    // morsel-parallelism would only contend on refcounts.
-                    return Ok(t.rows().to_vec());
-                }
-                if *dop > 1 {
-                    return crate::parallel::scan_parallel(
-                        self,
-                        table,
-                        filter.as_ref(),
-                        project.as_deref(),
-                        *dop,
-                        batch.is_batch(),
-                    );
-                }
-                let outer = self.outer_stack();
-                self.scan_emit(
-                    t.rows().iter(),
-                    filter.as_ref(),
-                    project.as_deref(),
-                    &outer,
-                    batch.is_batch(),
-                )
-            }
             PhysicalPlan::IndexScan {
                 table,
                 schema,
@@ -314,15 +295,17 @@ impl Executor {
             } => {
                 let t = self.catalog.table(table)?;
                 check_scan_schema(t, table, schema)?;
-                let outer = self.outer_stack();
+                let mut out = Vec::new();
+                // IndexScan is unstamped (point lookups return a handful
+                // of rows); the executor-level switch alone decides.
+                let pipe =
+                    |filter| Pipe::new(self, filter, project.as_deref(), true, self.outer_stack());
                 match t.index_lookup(*column, key) {
-                    Some(row_ids) => {
-                        let rows = row_ids.iter().map(|&r| &t.rows()[r]);
-                        // IndexScan is unstamped (point lookups return a
-                        // handful of rows); the executor-level switch
-                        // alone decides.
-                        self.scan_emit(rows, residual.as_ref(), project.as_deref(), &outer, true)
-                    }
+                    Some(ids) => pipe(residual.as_ref()).run(
+                        self,
+                        ids.iter().map(|&r| &t.rows()[r]),
+                        &mut out,
+                    )?,
                     None => {
                         // The index vanished since planning (e.g. the
                         // table was rebuilt): fall back to a sequential
@@ -335,15 +318,10 @@ impl Executor {
                             .chain(residual.clone())
                             .collect(),
                         );
-                        self.scan_emit(
-                            t.rows().iter(),
-                            Some(&full),
-                            project.as_deref(),
-                            &outer,
-                            true,
-                        )
+                        pipe(Some(&full)).run(self, t.rows().iter(), &mut out)?;
                     }
                 }
+                Ok(out)
             }
             PhysicalPlan::Values { rows, .. } => {
                 // Each expression is evaluated exactly once, so the
@@ -361,47 +339,6 @@ impl Executor {
                     out.push(Tuple::new(vals));
                 }
                 Ok(out)
-            }
-            PhysicalPlan::Project {
-                input,
-                exprs,
-                batch,
-            } => {
-                let rows = self.run_physical(input)?;
-                let outer = self.outer_stack();
-                let projection = CompiledProjection::compile(self, exprs);
-                if self.columnar && batch.is_batch() {
-                    if let Some(scan) = BatchScan::lower(None, Some(&projection)) {
-                        let cap = rows.len();
-                        return self.scan_emit_batched(
-                            rows.iter(),
-                            &scan,
-                            None,
-                            Some(&projection),
-                            &outer,
-                            cap,
-                        );
-                    }
-                }
-                let mut out = Vec::with_capacity(rows.len());
-                for (i, t) in rows.iter().enumerate() {
-                    // Masked cancellation check per 4096 rows.
-                    if i % 4096 == 0 {
-                        self.check_cancelled()?;
-                    }
-                    let env = Env::new(t, &outer);
-                    out.push(projection.apply(self, &env)?);
-                }
-                Ok(out)
-            }
-            PhysicalPlan::Filter {
-                input,
-                predicate,
-                batch,
-            } => {
-                let rows = self.run_physical(input)?;
-                let outer = self.outer_stack();
-                self.filter_rows(rows, Some(predicate), &outer, batch.is_batch())
             }
             PhysicalPlan::HashJoin { .. }
             | PhysicalPlan::NLJoin { .. }
@@ -440,138 +377,12 @@ impl Executor {
                 spill,
                 batch,
             } => spill::run_sort(self, input, keys, *dop, *spill, batch.is_batch()),
-            PhysicalPlan::Limit {
-                input,
-                limit,
-                offset,
-            } => {
-                let rows = self.run_physical(input)?;
-                let start = (*offset as usize).min(rows.len());
-                let end = match limit {
-                    Some(l) => (start + *l as usize).min(rows.len()),
-                    None => rows.len(),
-                };
-                Ok(rows[start..end].to_vec())
-            }
-        }
-    }
-
-    /// Emit rows from a borrowed base-row iterator, applying the fused
-    /// residual filter and projection. Base rows are only cloned (or
-    /// projected) when they pass — the scan copy and the filter's
-    /// intermediate result never materialize.
-    ///
-    /// When the executor is columnar and the expressions lower to
-    /// vectorized kernels, rows run through [`BatchScan`] a batch at a
-    /// time; a batch whose kernels error is re-run through the row path
-    /// below, which reproduces the interpreter's first error in row
-    /// order (or succeeds, if narrowing had already masked the lane).
-    /// Otherwise the four filter/projection combinations get their own
-    /// row loops so the per-row path carries no branching.
-    pub(crate) fn scan_emit<'t>(
-        &self,
-        rows: impl Iterator<Item = &'t Tuple>,
-        filter: Option<&ScalarExpr>,
-        project: Option<&[ScalarExpr]>,
-        outer: &[Tuple],
-        allow_batch: bool,
-    ) -> Result<Vec<Tuple>> {
-        let cap = rows.size_hint().0;
-        let f = filter.map(|f| CompiledExpr::compile(self, f));
-        let p = project.map(|p| CompiledProjection::compile(self, p));
-        if self.columnar && allow_batch {
-            if let Some(scan) = BatchScan::lower(f.as_ref(), p.as_ref()) {
-                return self.scan_emit_batched(rows, &scan, f.as_ref(), p.as_ref(), outer, cap);
-            }
-        }
-        match (f, p) {
-            (None, None) => Ok(rows.cloned().collect()),
-            (Some(f), None) => {
-                let mut out = Vec::new();
-                for (i, row) in rows.enumerate() {
-                    // Masked cancellation check per 4096 rows.
-                    if i % 4096 == 0 {
-                        self.check_cancelled()?;
-                    }
-                    let env = Env::new(row, outer);
-                    if f.eval_bool(self, &env)? == Some(true) {
-                        out.push(row.clone());
-                    }
-                }
-                Ok(out)
-            }
-            (None, Some(p)) => {
-                let mut out = Vec::with_capacity(cap);
-                for (i, row) in rows.enumerate() {
-                    // Masked cancellation check per 4096 rows.
-                    if i % 4096 == 0 {
-                        self.check_cancelled()?;
-                    }
-                    let env = Env::new(row, outer);
-                    out.push(p.apply(self, &env)?);
-                }
-                Ok(out)
-            }
-            (Some(f), Some(p)) => {
-                let mut out = Vec::new();
-                for (i, row) in rows.enumerate() {
-                    // Masked cancellation check per 4096 rows.
-                    if i % 4096 == 0 {
-                        self.check_cancelled()?;
-                    }
-                    let env = Env::new(row, outer);
-                    if f.eval_bool(self, &env)? == Some(true) {
-                        out.push(p.apply(self, &env)?);
-                    }
-                }
-                Ok(out)
-            }
-        }
-    }
-
-    /// The columnar scan loop: batches of [`BATCH_ROWS`] borrowed rows
-    /// through the lowered kernels, with the row interpreter as the
-    /// per-batch fallback (values, row order and first-error equivalence
-    /// with the row path are pinned by the batch/row property tests).
-    fn scan_emit_batched<'t>(
-        &self,
-        mut rows: impl Iterator<Item = &'t Tuple>,
-        scan: &BatchScan,
-        f: Option<&CompiledExpr>,
-        p: Option<&CompiledProjection>,
-        outer: &[Tuple],
-        cap: usize,
-    ) -> Result<Vec<Tuple>> {
-        let mut out = Vec::with_capacity(if f.is_none() { cap } else { 0 });
-        let mut buf: Vec<&Tuple> = Vec::with_capacity(BATCH_ROWS);
-        loop {
-            buf.clear();
-            buf.extend(rows.by_ref().take(BATCH_ROWS));
-            if buf.is_empty() {
-                return Ok(out);
-            }
-            // Batch boundary: cancellation point + chaos site.
-            self.check_cancelled()?;
-            perm_fault::exec_point("exec.kernel.batch", "batch scan")?;
-            let before = out.len();
-            if scan.run_batch(&buf, outer, &mut out).is_err() {
-                // Discard the batch's partial output and replay it row
-                // by row: same rows in, same rows (or same error) out.
-                out.truncate(before);
-                for row in &buf {
-                    let env = Env::new(row, outer);
-                    let pass = match f {
-                        Some(f) => f.eval_bool(self, &env)? == Some(true),
-                        None => true,
-                    };
-                    if pass {
-                        out.push(match p {
-                            Some(p) => p.apply(self, &env)?,
-                            None => (*row).clone(),
-                        });
-                    }
-                }
-            }
+            // INVARIANT: `Node::build` makes the streaming operators
+            // pipeline nodes; only the others become kernel nodes.
+            PhysicalPlan::FusedScanProjectFilter { .. }
+            | PhysicalPlan::Project { .. }
+            | PhysicalPlan::Filter { .. }
+            | PhysicalPlan::Limit { .. } => unreachable!("streaming operator has no kernel"),
         }
     }
 
@@ -586,102 +397,28 @@ impl Executor {
         outer: &[Tuple],
         allow_batch: bool,
     ) -> Result<Vec<Vec<Value>>> {
-        let mut out: Vec<Vec<Value>> = Vec::with_capacity(rows.len());
         let vk = if self.columnar && allow_batch {
             VecKeys::lower(compiled)
         } else {
             None
         };
-        match vk {
-            Some(vk) => {
-                let mut refs: Vec<&Tuple> = Vec::with_capacity(BATCH_ROWS);
-                for chunk in rows.chunks(BATCH_ROWS) {
-                    // Batch boundary: cancellation point.
-                    self.check_cancelled()?;
-                    refs.clear();
-                    refs.extend(chunk.iter());
-                    match vk.eval_batch(&refs, outer) {
-                        Ok(cols) => {
-                            for i in 0..chunk.len() {
-                                out.push(cols.iter().map(|c| c.get(i)).collect());
-                            }
-                        }
-                        Err(_) => self.keys_rowwise(chunk, compiled, outer, &mut out)?,
-                    }
+        let mut out: Vec<Vec<Value>> = Vec::with_capacity(rows.len());
+        let mut refs: Vec<&Tuple> = Vec::with_capacity(rows.len().min(BATCH_ROWS));
+        for chunk in rows.chunks(BATCH_ROWS) {
+            // Batch boundary: cancellation point.
+            self.check_cancelled()?;
+            if let Some(vk) = &vk {
+                refs.clear();
+                refs.extend(chunk.iter());
+                if let Ok(cols) = vk.eval_batch(&refs, outer) {
+                    out.extend((0..chunk.len()).map(|i| cols.iter().map(|c| c.get(i)).collect()));
+                    continue;
                 }
             }
-            None => self.keys_rowwise(rows, compiled, outer, &mut out)?,
-        }
-        Ok(out)
-    }
-
-    fn keys_rowwise(
-        &self,
-        rows: &[Tuple],
-        compiled: &[CompiledExpr],
-        outer: &[Tuple],
-        out: &mut Vec<Vec<Value>>,
-    ) -> Result<()> {
-        for (i, t) in rows.iter().enumerate() {
-            // Masked cancellation check per 4096 rows.
-            if i % 4096 == 0 {
-                self.check_cancelled()?;
-            }
-            let env = Env::new(t, outer);
-            let mut ks = Vec::with_capacity(compiled.len());
-            for c in compiled {
-                ks.push(c.eval(self, &env)?);
-            }
-            out.push(ks);
-        }
-        Ok(())
-    }
-
-    fn filter_rows(
-        &self,
-        rows: Vec<Tuple>,
-        predicate: Option<&ScalarExpr>,
-        outer: &[Tuple],
-        allow_batch: bool,
-    ) -> Result<Vec<Tuple>> {
-        let Some(pred) = predicate else {
-            return Ok(rows);
-        };
-        let compiled = CompiledExpr::compile(self, pred);
-        if self.columnar && allow_batch {
-            if let Some(vp) = BatchPredicate::lower(&compiled) {
-                // Batched mask over borrowed rows, then an in-place
-                // order-preserving retain of the owned tuples — the
-                // passing rows move exactly as on the row path.
-                let mut mask: Vec<bool> = Vec::with_capacity(rows.len());
-                let mut refs: Vec<&Tuple> = Vec::with_capacity(BATCH_ROWS);
-                for chunk in rows.chunks(BATCH_ROWS) {
-                    // Batch boundary: cancellation point.
-                    self.check_cancelled()?;
-                    refs.clear();
-                    refs.extend(chunk.iter());
-                    if vp.mask_batch(&refs, outer, &mut mask).is_err() {
-                        for t in chunk {
-                            let env = Env::new(t, outer);
-                            mask.push(compiled.eval_bool(self, &env)? == Some(true));
-                        }
-                    }
-                }
-                let mut rows = rows;
-                let mut pass = mask.into_iter();
-                rows.retain(|_| pass.next().unwrap_or(false));
-                return Ok(rows);
-            }
-        }
-        let mut out = Vec::new();
-        for (i, t) in rows.into_iter().enumerate() {
-            // Masked cancellation check per 4096 rows.
-            if i % 4096 == 0 {
-                self.check_cancelled()?;
-            }
-            let env = Env::new(&t, outer);
-            if compiled.eval_bool(self, &env)? == Some(true) {
-                out.push(t);
+            for t in chunk {
+                let env = Env::new(t, outer);
+                let keys = compiled.iter().map(|c| c.eval(self, &env));
+                out.push(keys.collect::<Result<_>>()?);
             }
         }
         Ok(out)

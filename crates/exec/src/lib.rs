@@ -31,12 +31,16 @@
 //! into join output. Rows themselves are `Arc`-shared
 //! ([`perm_types::Tuple`]), so operators move references, not values.
 //!
-//! Results can be consumed two ways: [`Executor::run`] materializes the
-//! whole result, while [`Executor::into_stream`] returns a pull-based
-//! [`stream::TupleStream`] that yields tuples on demand (so `LIMIT k`
-//! over a streamable operator chain reads only the base rows it needs).
-//! The executor owns an `Arc` catalog snapshot, making plans, executors
-//! and streams `Send` — the foundation of the concurrent `PermServer`.
+//! Results can be consumed two ways, through one driver: every physical
+//! plan runs as a pull-based pipeline whose nodes hand out at most the
+//! number of rows their consumer asks for (the *row goal*).
+//! [`Executor::run`] asks for everything and materializes the result;
+//! [`Executor::into_stream`] returns a [`stream::TupleStream`] that asks
+//! for one row per `next()`. Scans, filters, projections and limits
+//! stream, so a `LIMIT` reads only the base rows its consumer needs,
+//! and every other operator runs its kernel on first pull. The executor
+//! owns an `Arc` catalog snapshot, making plans, executors and streams
+//! `Send` — the foundation of the concurrent `PermServer`.
 //!
 //! Execution memory is **governed** ([`memory`]): buffering operators
 //! grow a per-query [`MemoryReservation`] as they build hash tables and
@@ -63,6 +67,7 @@ pub mod memory;
 pub mod operators;
 pub mod parallel;
 pub mod physical;
+mod pipeline;
 pub mod planner;
 pub mod stream;
 pub mod verify;

@@ -15,17 +15,17 @@
 //! crates.io access): [`Channel`] is a crossbeam-style Mutex + Condvar
 //! MPMC channel, `WorkerPool` a fixed set of detached threads feeding
 //! off an unbounded job channel. The pool is global and lazily created;
-//! tasks submitted to it must be finite (long-lived producers — the
-//! stream exchange operator — spawn dedicated threads instead, see
-//! [`crate::stream`]).
+//! tasks submitted to it must be finite (a morsel exchange feeding a
+//! consumer that may stop or stay open spawns dedicated producers
+//! instead, see `MorselExchange`).
 //!
 //! # Error and determinism contract
 //!
 //! Workers never evaluate expressions containing sublinks (the planner
 //! only assigns a degree of parallelism > 1 to subquery-free pipelines),
-//! so each worker runs against its own lightweight [`Executor`] over the
-//! shared catalog snapshot. A worker that hits an error stops claiming
-//! morsels and the merge step re-raises the error of the
+//! so each worker runs against its own lightweight [`crate::Executor`]
+//! over the shared catalog snapshot. A worker that hits an error stops
+//! claiming morsels and the merge step re-raises the error of the
 //! **lowest-indexed** failed morsel — which is exactly the error serial
 //! execution would have raised first, because morsels are claimed in
 //! increasing order and every morsel before the failed one completed
@@ -39,9 +39,10 @@
 //! `run_workers` converts a panicking worker into a typed
 //! `PermError::Execution` for the submitting query only — the pool
 //! threads stay alive (each job runs under `catch_unwind`) and sibling
-//! queries never observe the panic.
+//! queries never observe the panic; a panic inside a morsel becomes that
+//! morsel's typed error.
 
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -330,11 +331,153 @@ impl MorselQueue {
     }
 }
 
+/// A morsel producer's message: `(morsel index, rows claimed, result)`.
+type MorselMsg<R> = (usize, usize, Result<R>);
+
+/// The morsel-producer body: claim morsels in increasing order, run `f`
+/// on each after a cancellation check and the `site` chaos point (a
+/// panic becomes the morsel's typed error), and send every result on.
+/// It stops after the first error or once the channel closed, aborting
+/// the queue; `f` may abort it too (a morsel carrying a row error).
+fn produce_morsels<R, F>(
+    queue: &MorselQueue,
+    ctx: &QueryContext,
+    site: &'static str,
+    f: &F,
+    tx: &Channel<MorselMsg<R>>,
+) where
+    F: Fn(Range<usize>, &MorselQueue) -> Result<R>,
+{
+    while let Some((idx, range)) = queue.claim() {
+        let claimed = range.len();
+        let r = catch_unwind(AssertUnwindSafe(|| {
+            ctx.check()?;
+            perm_fault::exec_point(site, "morsel producer")?;
+            f(range, queue)
+        }))
+        .unwrap_or_else(|p| Err(panic_error(p)));
+        let failed = r.is_err();
+        if tx.send((idx, claimed, r)).is_err() || failed {
+            queue.abort();
+            break;
+        }
+    }
+}
+
+/// A morsel exchange: producers run `f` over the [`MORSEL_ROWS`]-sized
+/// morsels of `0..total` and send each result through a channel; the
+/// consumer, the exchange's iterator, reassembles them in morsel index
+/// order, so it sees exactly the serial order, and the first error in
+/// that order is exactly the error serial execution would raise first.
+///
+/// The producers are pool workers behind an unbounded channel, for a
+/// consumer that drains without pausing (they never block, so a pool job
+/// stays finite), or dedicated threads behind a **bounded** channel, for
+/// a stream that may stay open: it back-pressures them after a few
+/// morsels and never parks pool workers. Dropping the exchange aborts
+/// the queue, so producers stop at their next claim, and waits for them.
+pub(crate) struct MorselExchange<R> {
+    rx: Arc<Channel<MorselMsg<R>>>,
+    queue: Arc<MorselQueue>,
+    pending: HashMap<usize, (usize, Result<R>)>,
+    next_idx: usize,
+    pooled: bool,
+    handles: Vec<std::thread::JoinHandle<()>>,
+}
+
+impl<R: Send + 'static> MorselExchange<R> {
+    /// Start `dop` producers: on the pool when `pooled`, otherwise on
+    /// dedicated threads, two morsels of channel each. `f` gets the queue.
+    pub(crate) fn start<F>(
+        ctx: &QueryContext,
+        dop: usize,
+        total: usize,
+        pooled: bool,
+        f: F,
+    ) -> Result<MorselExchange<R>>
+    where
+        F: Fn(Range<usize>, &MorselQueue) -> Result<R> + Send + Sync + 'static,
+    {
+        let mut ex = MorselExchange {
+            rx: Arc::new(Channel::bounded(if pooled { usize::MAX } else { dop * 2 })),
+            queue: Arc::new(MorselQueue::new(total, MORSEL_ROWS)),
+            pending: HashMap::new(),
+            next_idx: 0,
+            pooled,
+            handles: Vec::new(),
+        };
+        let (queue, tx, ctx) = (Arc::clone(&ex.queue), Arc::clone(&ex.rx), ctx.clone());
+        let live = AtomicUsize::new(dop);
+        let produce = Arc::new(move |site| {
+            produce_morsels(&queue, &ctx, site, &f, &tx);
+            // The last producer out closes the channel, also after an error.
+            if live.fetch_sub(1, Ordering::AcqRel) == 1 {
+                tx.close();
+            }
+        });
+        // no-cancel: producer startup, bounded by dop.
+        for i in 0..dop {
+            let produce = Arc::clone(&produce);
+            if pooled {
+                WorkerPool::global().submit(Box::new(move || produce("exec.morsel.claim")));
+                continue;
+            }
+            let handle = std::thread::Builder::new()
+                .name(format!("perm-exchange-{i}"))
+                .spawn(move || produce("exec.exchange.send"))
+                .map_err(|e| PermError::Execution(format!("exchange producer: {e}")))?;
+            ex.handles.push(handle);
+        }
+        Ok(ex)
+    }
+}
+
+impl<R> Iterator for MorselExchange<R> {
+    type Item = (usize, Result<R>);
+
+    /// The next morsel in index order, as `(rows claimed, result)`, or
+    /// `None` once all came or the producers stopped. Morsels wait in
+    /// `pending` for their turn; an error aborts the queue, so morsels
+    /// past it never come, but every earlier one was claimed and will.
+    fn next(&mut self) -> Option<(usize, Result<R>)> {
+        // no-cancel: producers check at every morsel claim; a cancelled
+        // producer delivers the typed error, which arrives in order here.
+        loop {
+            if let Some(m) = self.pending.remove(&self.next_idx) {
+                self.next_idx += 1;
+                return Some(m);
+            }
+            if self.next_idx >= self.queue.morsel_count() {
+                return None;
+            }
+            let (idx, claimed, r) = self.rx.recv()?;
+            self.pending.insert(idx, (claimed, r));
+        }
+    }
+}
+
+impl<R> Drop for MorselExchange<R> {
+    fn drop(&mut self) {
+        self.queue.abort();
+        if self.pooled {
+            // no-cancel: pool producers stop at their next claim and never
+            // block; wait for the last to close the channel.
+            while self.rx.recv().is_some() {}
+            return;
+        }
+        self.rx.close();
+        // no-cancel: joining producers after abort, bounded by dop.
+        for h in self.handles.drain(..) {
+            let _ = h.join();
+        }
+    }
+}
+
 /// Run `f` over every [`MORSEL_ROWS`]-sized morsel of `0..total` on `dop`
-/// workers and return the per-morsel results in morsel order. The first
-/// error in morsel order is returned, matching serial row order exactly.
-/// Every claim is a cooperative cancellation point: a cancelled `ctx`
-/// stops each worker before its next morsel.
+/// pool workers and return the per-morsel results in morsel order. The
+/// first error in morsel order is returned, matching serial row order
+/// exactly. Every claim is a cooperative cancellation point: a cancelled
+/// `ctx` stops each worker before its next morsel.
 pub(crate) fn map_morsels<R, F>(
     ctx: &QueryContext,
     dop: usize,
@@ -345,36 +488,9 @@ where
     R: Send + 'static,
     F: Fn(Range<usize>) -> Result<R> + Send + Sync + 'static,
 {
-    let queue = Arc::new(MorselQueue::new(total, MORSEL_ROWS));
-    let worker_out = {
-        let queue = Arc::clone(&queue);
-        let ctx = ctx.clone();
-        run_workers(dop, move |_w| {
-            let mut acc: Vec<(usize, Result<R>)> = Vec::new();
-            while let Some((idx, range)) = queue.claim() {
-                // Cancellation check + chaos site, once per claim.
-                let r = ctx
-                    .check()
-                    .and_then(|()| perm_fault::exec_point("exec.morsel.claim", "morsel worker"))
-                    .and_then(|()| f(range));
-                let failed = r.is_err();
-                acc.push((idx, r));
-                if failed {
-                    queue.abort();
-                    break;
-                }
-            }
-            acc
-        })
-    }?;
-    let mut all: Vec<(usize, Result<R>)> = worker_out.into_iter().flatten().collect();
-    all.sort_unstable_by_key(|(idx, _)| *idx);
-    let mut out = Vec::with_capacity(all.len());
-    // no-cancel: reassembly of already-computed morsel results.
-    for (_, r) in all {
-        out.push(r?);
-    }
-    Ok(out)
+    MorselExchange::start(ctx, dop, total, true, move |range, _| f(range))?
+        .map(|(_, r)| r)
+        .collect()
 }
 
 /// Cut `0..total` into at most `dop` contiguous, non-empty ranges.
@@ -422,51 +538,6 @@ where
         out.push(r?);
     }
     Ok(out)
-}
-
-// ----------------------------------------------------------------------
-// Parallel scan
-// ----------------------------------------------------------------------
-
-use perm_algebra::expr::ScalarExpr;
-
-use crate::executor::Executor;
-
-/// Morsel-parallel `FusedScanProjectFilter`: workers claim row ranges of
-/// the base table and run the fused filter/projection over borrowed base
-/// rows; per-morsel outputs concatenate in morsel order, so the result
-/// is byte-identical to the serial scan.
-pub(crate) fn scan_parallel(
-    exec: &Executor,
-    table: &str,
-    filter: Option<&ScalarExpr>,
-    project: Option<&[ScalarExpr]>,
-    dop: usize,
-    allow_batch: bool,
-) -> Result<Vec<Tuple>> {
-    let total = exec.catalog().table(table)?.rows().len();
-    let catalog = exec.catalog_arc();
-    let outer = exec.outer_stack();
-    let table = table.to_string();
-    let filter = filter.cloned();
-    let project: Option<Vec<ScalarExpr>> = project.map(<[ScalarExpr]>::to_vec);
-    let columnar = exec.columnar();
-    let ctx = exec.context().clone();
-    let sub_ctx = ctx.clone();
-    let parts = map_morsels(&ctx, dop, total, move |range| {
-        let sub = Executor::new(Arc::clone(&catalog))
-            .with_columnar(columnar)
-            .with_context(sub_ctx.clone());
-        let t = sub.catalog().table(&table)?;
-        sub.scan_emit(
-            t.rows()[range].iter(),
-            filter.as_ref(),
-            project.as_deref(),
-            &outer,
-            allow_batch,
-        )
-    })?;
-    Ok(concat(parts))
 }
 
 pub(crate) fn concat(parts: Vec<Vec<Tuple>>) -> Vec<Tuple> {

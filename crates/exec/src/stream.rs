@@ -1,38 +1,26 @@
-//! Pull-based execution: a cursor tree that yields tuples one at a time.
+//! Pull-based results: a row cursor over the execution pipeline.
 //!
 //! [`TupleStream`] drives a top-level plan cursor-style, the way a
-//! PostgreSQL client consumes a portal: `next()` pulls one row, and the
-//! pipeline-friendly operators — sequential scans (with their fused
-//! filters and projections), standalone filters/projections, limits —
-//! produce it on demand. A `LIMIT k` over a streamable chain therefore
-//! pulls only as many base-table rows as it needs instead of
-//! materializing the whole input first. Blocking operators (joins,
-//! aggregation, sorts, set operations, DISTINCT) have no incremental
-//! form in this executor; a blocking subtree is materialized through
-//! [`Executor::run_physical`] on first pull and drained from its buffer.
-//!
-//! The cursor tree is built from the **physical** plan, so every
-//! strategy decision (fusion, index usage, join algorithms inside
-//! blocking subtrees) was already made by the planner.
+//! PostgreSQL client consumes a portal: each `next()` asks the plan's
+//! pipeline (`pipeline` module) for one row. It is the same pipeline
+//! [`Executor::run_physical`] drains, only with a row goal of one
+//! instead of "everything": scans, filters, projections and limits read
+//! only the rows that goal needs (a `LIMIT` asks its input for its offset
+//! plus one row), a parallel scan's exchange runs on dedicated
+//! producers behind a bounded channel, and blocking operators run their
+//! kernel on first pull.
 //!
 //! The stream owns its [`Executor`] — and through it an immutable catalog
 //! snapshot — so it keeps yielding a consistent result however long the
 //! consumer takes, even while concurrent sessions run DDL against the
 //! shared catalog.
 
-use std::collections::HashMap;
-use std::sync::Arc;
-
-use perm_algebra::expr::ScalarExpr;
 use perm_algebra::plan::LogicalPlan;
-use perm_storage::Catalog;
 use perm_types::{Result, Tuple};
 
-use crate::compile::{CompiledExpr, CompiledProjection};
-use crate::eval::Env;
 use crate::executor::Executor;
-use crate::parallel::{Channel, MorselQueue, MORSEL_ROWS};
 use crate::physical::PhysicalPlan;
+use crate::pipeline::Node;
 
 /// A pull-based result: `Iterator<Item = Result<Tuple>>` over a plan.
 ///
@@ -40,7 +28,8 @@ use crate::physical::PhysicalPlan;
 /// first error (or the natural end) it yields `None` forever.
 pub struct TupleStream {
     exec: Executor,
-    cursor: Cursor,
+    root: Node<'static>,
+    row: Vec<Tuple>,
     rows_scanned: usize,
     pulls: usize,
     done: bool,
@@ -50,22 +39,22 @@ impl TupleStream {
     /// Build a stream over a physical plan, validating its base-table
     /// scans against the executor's catalog snapshot up front.
     pub fn new(exec: Executor, plan: &PhysicalPlan) -> Result<TupleStream> {
-        let cursor = Cursor::build(&exec, plan)?;
+        let root = Node::build(&exec, plan, false)?.into_owned();
         Ok(TupleStream {
             exec,
-            cursor,
+            root,
+            row: Vec::with_capacity(1),
             rows_scanned: 0,
             pulls: 0,
             done: false,
         })
     }
 
-    /// How many base-table rows the streamable scans have pulled so far.
+    /// How many base-table rows the streaming scans have pulled so far.
     ///
-    /// Rows read inside materialized (blocking) subtrees are not counted —
-    /// the counter measures exactly the early-termination benefit: a
-    /// `LIMIT k` over a streamable chain stops after pulling the few scan
-    /// rows it needed.
+    /// Rows read inside blocking subtrees are not counted — the counter
+    /// measures exactly the early-termination benefit: a `LIMIT k` over a
+    /// streamable chain stops after pulling the few scan rows it needed.
     pub fn rows_scanned(&self) -> usize {
         self.rows_scanned
     }
@@ -78,9 +67,8 @@ impl Iterator for TupleStream {
         if self.done {
             return None;
         }
-        // Masked cancellation check per 1024 pulls: covers the cursor
-        // variants with no per-row check of their own (plain scans,
-        // drained buffers).
+        // Masked cancellation check per 1024 pulls: covers pulls that
+        // reach no check of their own (buffered rows).
         self.pulls += 1;
         if self.pulls.is_multiple_of(1024) {
             if let Err(e) = self.exec.check_cancelled() {
@@ -88,10 +76,16 @@ impl Iterator for TupleStream {
                 return Some(Err(e));
             }
         }
-        let item = self.cursor.next(&self.exec, &mut self.rows_scanned);
-        match &item {
-            None | Some(Err(_)) => self.done = true,
-            Some(Ok(_)) => {}
+        self.row.clear();
+        let pulled = self
+            .root
+            .fill(&self.exec, 1, &mut self.row, &mut self.rows_scanned);
+        let item = match pulled {
+            Ok(()) => self.row.pop().map(Ok),
+            Err(e) => Some(Err(e)),
+        };
+        if !matches!(item, Some(Ok(_))) {
+            self.done = true;
         }
         item
     }
@@ -114,338 +108,5 @@ impl Executor {
     /// (prepared statements cache the lowering).
     pub fn into_stream_physical(self, plan: &PhysicalPlan) -> Result<TupleStream> {
         TupleStream::new(self, plan)
-    }
-}
-
-/// One node of the cursor tree. Streamable operators hold just the state
-/// they need (compiled out of the plan, so the stream is self-contained);
-/// everything else lazily materializes via [`Executor::run_physical`].
-enum Cursor {
-    /// Base-table scan: yields `rows()[next]` on each pull. Holds the
-    /// pre-folded catalog key so the per-pull re-resolution (the borrow
-    /// rules forbid caching `&Table` next to the owning snapshot) is an
-    /// allocation-free map lookup.
-    Scan { key: String, next: usize },
-    /// Streaming filter: pulls from the input until the predicate holds.
-    /// The predicate is compiled once at stream construction.
-    Filter {
-        input: Box<Cursor>,
-        predicate: CompiledExpr,
-    },
-    /// Streaming projection (expressions compiled once).
-    Project {
-        input: Box<Cursor>,
-        projection: CompiledProjection,
-    },
-    /// Streaming OFFSET/LIMIT: stops pulling once exhausted.
-    Limit {
-        input: Box<Cursor>,
-        skip: usize,
-        remaining: Option<usize>,
-    },
-    /// A blocking subtree, not yet executed.
-    Pending(Box<PhysicalPlan>),
-    /// A materialized buffer being drained.
-    Drained(std::vec::IntoIter<Tuple>),
-    /// A parallel scan behind an exchange: producer threads push morsel
-    /// results through a bounded channel, the consumer reorders them.
-    Exchange(ExchangeCursor),
-}
-
-/// The consumer side of a scan exchange.
-///
-/// `dop` producer threads claim morsels of the base table, run the fused
-/// filter/projection, and send `(morsel index, rows scanned, result)`
-/// through a **bounded** channel — so a consumer that stops pulling
-/// (e.g. a satisfied `LIMIT`) back-pressures the producers after a few
-/// morsels, preserving the early-termination benefit at morsel
-/// granularity. The consumer reassembles morsels in index order, so the
-/// stream yields exactly the serial scan order; dropping the cursor
-/// closes the channel and joins the producers.
-///
-/// Producers are dedicated threads, not pool workers: a stream can stay
-/// open indefinitely, and parking pool workers on it would starve other
-/// queries' parallel operators.
-/// What a producer sends per morsel: `(morsel index, base rows scanned,
-/// filtered/projected result)`.
-type MorselMsg = (usize, usize, Result<Vec<Tuple>>);
-
-pub(crate) struct ExchangeCursor {
-    rx: Arc<Channel<MorselMsg>>,
-    queue: Arc<MorselQueue>,
-    pending: HashMap<usize, (usize, Result<Vec<Tuple>>)>,
-    next_idx: usize,
-    expected: usize,
-    current: std::vec::IntoIter<Tuple>,
-    handles: Vec<std::thread::JoinHandle<()>>,
-}
-
-impl ExchangeCursor {
-    fn spawn(
-        exec: &Executor,
-        table: &str,
-        filter: Option<&ScalarExpr>,
-        project: Option<&[ScalarExpr]>,
-        dop: usize,
-        columnar: bool,
-    ) -> Result<ExchangeCursor> {
-        let catalog = exec.catalog_arc();
-        let total = catalog.table(table)?.rows().len();
-        let queue = Arc::new(MorselQueue::new(total, MORSEL_ROWS));
-        let rx: Arc<Channel<MorselMsg>> = Arc::new(Channel::bounded(dop * 2));
-        let expected = queue.morsel_count();
-        let mut handles = Vec::with_capacity(dop);
-        for i in 0..dop {
-            let catalog = Arc::clone(&catalog);
-            let queue = Arc::clone(&queue);
-            let tx = Arc::clone(&rx);
-            let ctx = exec.context().clone();
-            let table = table.to_string();
-            let filter = filter.cloned();
-            let project: Option<Vec<ScalarExpr>> = project.map(<[ScalarExpr]>::to_vec);
-            handles.push(
-                std::thread::Builder::new()
-                    .name(format!("perm-exchange-{i}"))
-                    .spawn(move || {
-                        let sub = Executor::new(catalog)
-                            .with_columnar(columnar)
-                            .with_context(ctx.clone());
-                        // Cancellation is observed at every morsel claim;
-                        // a producer panic is contained to this query as a
-                        // typed error sent through the channel.
-                        while let Some((idx, range)) = queue.claim() {
-                            let scanned = range.len();
-                            let result = ctx
-                                .check()
-                                .and_then(|()| {
-                                    perm_fault::exec_point(
-                                        "exec.exchange.send",
-                                        "exchange producer",
-                                    )
-                                })
-                                .and_then(|()| {
-                                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                        sub.catalog().table(&table).and_then(|t| {
-                                            sub.scan_emit(
-                                                t.rows()[range].iter(),
-                                                filter.as_ref(),
-                                                project.as_deref(),
-                                                &[],
-                                                true,
-                                            )
-                                        })
-                                    }))
-                                    .unwrap_or_else(|p| Err(crate::parallel::panic_error(p)))
-                                });
-                            let failed = result.is_err();
-                            if tx.send((idx, scanned, result)).is_err() {
-                                break; // consumer went away
-                            }
-                            if failed {
-                                queue.abort();
-                                break;
-                            }
-                        }
-                    })
-                    .expect("spawn exchange producer"),
-            );
-        }
-        Ok(ExchangeCursor {
-            rx,
-            queue,
-            pending: HashMap::new(),
-            next_idx: 0,
-            expected,
-            current: Vec::new().into_iter(),
-            handles,
-        })
-    }
-
-    fn next(&mut self, scanned: &mut usize) -> Option<Result<Tuple>> {
-        // no-cancel: producers check at every morsel claim; a cancelled
-        // producer delivers the typed error through the channel, which
-        // this loop surfaces in morsel order.
-        loop {
-            if let Some(t) = self.current.next() {
-                return Some(Ok(t));
-            }
-            if let Some((n, result)) = self.pending.remove(&self.next_idx) {
-                self.next_idx += 1;
-                *scanned += n;
-                match result {
-                    Ok(rows) => {
-                        self.current = rows.into_iter();
-                        continue;
-                    }
-                    Err(e) => return Some(Err(e)),
-                }
-            }
-            if self.next_idx >= self.expected {
-                return None;
-            }
-            // Morsels complete out of order; buffer until ours arrives.
-            // An error aborts the queue, so morsels past it never come —
-            // but every earlier morsel was already claimed and will.
-            let (idx, n, result) = self.rx.recv()?;
-            self.pending.insert(idx, (n, result));
-        }
-    }
-}
-
-impl Drop for ExchangeCursor {
-    fn drop(&mut self) {
-        self.queue.abort();
-        self.rx.close();
-        // no-cancel: joining producers after abort, bounded by dop.
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
-    }
-}
-
-impl Cursor {
-    fn build(exec: &Executor, plan: &PhysicalPlan) -> Result<Cursor> {
-        Ok(match plan {
-            PhysicalPlan::FusedScanProjectFilter {
-                table,
-                schema,
-                filter,
-                project,
-                dop,
-                batch,
-                ..
-            } => {
-                // Same staleness check Executor::run_physical performs,
-                // done once at stream construction (the snapshot cannot
-                // change under us).
-                let t = exec.catalog().table(table)?;
-                crate::executor::check_scan_schema(t, table, schema)?;
-                if *dop > 1 && (filter.is_some() || project.is_some()) {
-                    return Ok(Cursor::Exchange(ExchangeCursor::spawn(
-                        exec,
-                        table,
-                        filter.as_ref(),
-                        project.as_deref(),
-                        *dop,
-                        exec.columnar() && batch.is_batch(),
-                    )?));
-                }
-                let mut cursor = Cursor::Scan {
-                    key: Catalog::key_of(table),
-                    next: 0,
-                };
-                if let Some(f) = filter {
-                    cursor = Cursor::Filter {
-                        input: Box::new(cursor),
-                        predicate: CompiledExpr::compile(exec, f),
-                    };
-                }
-                if let Some(p) = project {
-                    cursor = Cursor::Project {
-                        input: Box::new(cursor),
-                        projection: CompiledProjection::compile(exec, p),
-                    };
-                }
-                cursor
-            }
-            PhysicalPlan::Filter {
-                input, predicate, ..
-            } => Cursor::Filter {
-                input: Box::new(Cursor::build(exec, input)?),
-                predicate: CompiledExpr::compile(exec, predicate),
-            },
-            PhysicalPlan::Project { input, exprs, .. } => Cursor::Project {
-                input: Box::new(Cursor::build(exec, input)?),
-                projection: CompiledProjection::compile(exec, exprs),
-            },
-            PhysicalPlan::Limit {
-                input,
-                limit,
-                offset,
-            } => Cursor::Limit {
-                input: Box::new(Cursor::build(exec, input)?),
-                skip: *offset as usize,
-                remaining: limit.map(|l| l as usize),
-            },
-            // Index scans, joins, aggregates, sorts, set ops, DISTINCT and
-            // VALUES are blocking (or already small): materialize on first
-            // pull.
-            other => Cursor::Pending(Box::new(other.clone())),
-        })
-    }
-
-    fn next(&mut self, exec: &Executor, scanned: &mut usize) -> Option<Result<Tuple>> {
-        match self {
-            Cursor::Scan { key, next } => {
-                let t = match exec.catalog().table_by_key(key) {
-                    Ok(t) => t,
-                    Err(e) => return Some(Err(e)),
-                };
-                let row = t.rows().get(*next)?.clone();
-                *next += 1;
-                *scanned += 1;
-                Some(Ok(row))
-            }
-            Cursor::Filter { input, predicate } => loop {
-                // A selective predicate can reject rows for a long time
-                // without yielding: check cancellation on every pull.
-                if let Err(e) = exec.check_cancelled() {
-                    return Some(Err(e));
-                }
-                let t = match input.next(exec, scanned)? {
-                    Ok(t) => t,
-                    Err(e) => return Some(Err(e)),
-                };
-                // Top-level plans have no outer scopes.
-                let env = Env::new(&t, &[]);
-                match predicate.eval_bool(exec, &env) {
-                    Ok(Some(true)) => return Some(Ok(t)),
-                    Ok(_) => continue,
-                    Err(e) => return Some(Err(e)),
-                }
-            },
-            Cursor::Project { input, projection } => {
-                let t = match input.next(exec, scanned)? {
-                    Ok(t) => t,
-                    Err(e) => return Some(Err(e)),
-                };
-                let env = Env::new(&t, &[]);
-                Some(projection.apply(exec, &env))
-            }
-            Cursor::Limit {
-                input,
-                skip,
-                remaining,
-            } => {
-                // OFFSET burns rows without yielding any: check
-                // cancellation on every skipped pull.
-                while *skip > 0 {
-                    if let Err(e) = exec.check_cancelled() {
-                        return Some(Err(e));
-                    }
-                    match input.next(exec, scanned)? {
-                        Ok(_) => *skip -= 1,
-                        Err(e) => return Some(Err(e)),
-                    }
-                }
-                if let Some(r) = remaining {
-                    if *r == 0 {
-                        return None;
-                    }
-                    *r -= 1;
-                }
-                input.next(exec, scanned)
-            }
-            Cursor::Pending(plan) => {
-                let rows = match exec.run_physical(plan) {
-                    Ok(rows) => rows,
-                    Err(e) => return Some(Err(e)),
-                };
-                *self = Cursor::Drained(rows.into_iter());
-                self.next(exec, scanned)
-            }
-            Cursor::Drained(iter) => iter.next().map(Ok),
-            Cursor::Exchange(ex) => ex.next(scanned),
-        }
     }
 }

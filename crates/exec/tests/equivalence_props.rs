@@ -36,6 +36,11 @@
 //!    group-and-annotate operator at DOP 1, at DOP 3 and spilling; each
 //!    must equal the nested-loop reference, which evaluates the fused
 //!    node by its definition (aggregate, then a `<=>` join-back).
+//! 7. **Streamed vs. materialized execution** — the same random plans,
+//!    optionally sorted and limited, pulled a row at a time through
+//!    `TupleStream` to a random prefix must yield exactly the prefix
+//!    `run_physical` materializes, at DOP 1 and DOP 3, columnar on and
+//!    off, and the stream's memory must drain when it is dropped.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -1093,6 +1098,78 @@ proptest! {
         if let Some(pool) = pool {
             prop_assert_eq!(pool.used(), 0, "pool must drain after cancellation");
         }
+    }
+
+    /// Pulling a plan row by row through `TupleStream` yields a prefix of
+    /// what the same physical plan materializes through `run_physical`:
+    /// random plans, optionally sorted and under a random `LIMIT`/
+    /// `OFFSET`, at DOP 1 and forced DOP 3, columnar on and off, read to a
+    /// random prefix and then dropped. The streamed rows equal the
+    /// materialized prefix (a failing materialization must fail the
+    /// stream with the same error kind), and the memory pool the stream
+    /// charged drains to zero once it is dropped.
+    #[test]
+    fn streamed_execution_matches_materialized(
+        case in plan_case(),
+        limit in proptest::option::of((0u64..6, 0u64..4)),
+        flags in (any::<bool>(), any::<bool>(), any::<bool>()),
+        prefix in 0usize..16,
+    ) {
+        let (sort_on_top, parallel, columnar) = flags;
+        let mut cat = Catalog::new();
+        cat.create_table(int_table("t1", ["a", "b"], &case.t1_rows)).unwrap();
+        cat.create_table(int_table("t2", ["c", "d"], &case.t2_rows)).unwrap();
+        let mut plan = build_plan(&case, &cat);
+        if sort_on_top {
+            plan = LogicalPlan::Sort {
+                keys: vec![perm_algebra::plan::SortKey {
+                    expr: ScalarExpr::Column(0),
+                    desc: false,
+                }],
+                input: Box::new(plan),
+            };
+        }
+        if let Some((limit, offset)) = limit {
+            plan = LogicalPlan::Limit {
+                input: Box::new(plan),
+                limit: Some(limit),
+                offset,
+            };
+        }
+        let cat = Arc::new(cat);
+        let optimized = match optimize_verified(plan, &CatalogStats(&cat)) {
+            Ok(p) => p,
+            Err(e) => return Err(TestCaseError::fail(format!("verifier: {e}"))),
+        };
+        let (dop, threshold) = if parallel { (3, 1) } else { (1, 2) };
+        let exec = || {
+            Executor::new(Arc::clone(&cat))
+                .with_parallelism(dop, threshold)
+                .with_columnar(columnar)
+        };
+        let physical = exec().physical(&optimized);
+        let materialized = exec().run_physical(&physical);
+        let pool = MemoryPool::unbounded();
+        let mut stream = exec()
+            .with_memory(QueryMemory::new(pool.clone(), None))
+            .into_stream_physical(&physical)
+            .unwrap();
+        match materialized {
+            Ok(rows) => {
+                let streamed: Vec<Tuple> = stream
+                    .by_ref()
+                    .take(prefix)
+                    .collect::<perm_types::Result<_>>()
+                    .map_err(|e| TestCaseError::fail(format!("stream failed: {e}")))?;
+                prop_assert_eq!(&streamed[..], &rows[..prefix.min(rows.len())], "{:?}", case);
+            }
+            Err(e) => {
+                let streamed = stream.by_ref().collect::<perm_types::Result<Vec<Tuple>>>();
+                prop_assert_eq!(streamed.map_err(|e| e.kind()), Err(e.kind()));
+            }
+        }
+        drop(stream);
+        prop_assert_eq!(pool.used(), 0, "pool must drain once the stream is dropped");
     }
 
     /// Hash-based execution (hash joins, fused slot projections, hash

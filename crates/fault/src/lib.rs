@@ -41,10 +41,10 @@
 //! | site | loop it sits in |
 //! |---|---|
 //! | `exec.worker.start` | pool worker task startup (`parallel::run_workers`) |
-//! | `exec.morsel.claim` | per-morsel claim loop (`parallel::map_morsels`) |
-//! | `exec.kernel.batch` | per-batch kernel dispatch (`executor`) |
+//! | `exec.morsel.claim` | per-morsel claim loop of pool workers (`parallel::MorselExchange`) |
+//! | `exec.kernel.batch` | per-batch kernel dispatch (`pipeline`) |
 //! | `exec.memory.grow` | reservation grow (`memory::try_grow`) |
-//! | `exec.exchange.send` | exchange producer send loop (`stream`) |
+//! | `exec.exchange.send` | per-morsel loop of dedicated exchange producers (`parallel::MorselExchange`) |
 //! | `exec.admission.wait` | admission wait loop (`core::admission`) |
 //! | `exec.replay.statement` | WAL replay loop (`core::server`) |
 

@@ -19,7 +19,7 @@
 //!   (PI-CS), `COPY [PARTIAL|COMPLETE]` (Copy-CS / Where-provenance) and
 //!   `LINEAGE` (Cui-Widom).
 //! * **Alternative rewrite strategies** with heuristic and cost-based
-//!   selection ([`options::StrategyMode`], [`cost`]).
+//!   selection ([`options::StrategyMode`], [`perm_algebra::stats`]).
 //! * **External provenance**: `PROVENANCE (attrs)` FROM-items and tables
 //!   with recorded provenance columns propagate foreign provenance
 //!   untouched.
@@ -31,7 +31,6 @@
 
 pub mod aggregate;
 pub mod copy;
-pub mod cost;
 pub mod options;
 pub mod provattr;
 pub mod rules;
@@ -42,9 +41,9 @@ use std::cell::Cell;
 
 use perm_algebra::catalog::{ProvenancePlan, ProvenanceTransform};
 use perm_algebra::plan::LogicalPlan;
+use perm_algebra::stats::{CardinalityEstimator, UnknownCardinality};
 use perm_types::Result;
 
-pub use cost::{CardinalityEstimator, FixedCardinalities, UnknownCardinality};
 pub use options::{
     ContributionSemantics, CopyMode, RewriteOptions, Semantics, StrategyMode, UnionStrategy,
 };

@@ -23,10 +23,10 @@ use perm_types::{PermError, Result, Schema, Value};
 use perm_algebra::expr::ScalarExpr;
 use perm_algebra::plan::{BoundaryKind, JoinType, LogicalPlan, SortKey};
 
-use crate::cost::CardinalityEstimator;
 use crate::options::{RewriteOptions, Semantics};
 use crate::provattr::ProvAttrInfo;
 use crate::{aggregate, setops, sublink};
+use perm_algebra::stats::CardinalityEstimator;
 
 /// A rewritten subtree: the plan `q+` plus the bookkeeping the parent rule
 /// needs.

@@ -36,7 +36,6 @@ use perm_sql::{parse_statement, Statement};
 use perm_types::{Column, DataType, PermError, Result, Schema, Tuple, Value};
 
 use crate::catalog::{Catalog, Relation};
-use crate::failpoint;
 use crate::spill::{read_value, value_encoded_len, write_value};
 use crate::table::Table;
 use crate::wal::{crc32, scan, FsyncPolicy, TailState, WalRecord, WalWriter, WAL_HEADER_LEN};
@@ -301,7 +300,7 @@ fn read_checkpoint(path: &Path) -> Result<Option<(u64, u64, Catalog)>> {
     if std::fs::metadata(path).is_err() {
         return Ok(None);
     }
-    let bytes = failpoint::read_file("checkpoint.read", path, "checkpoint read")?;
+    let bytes = perm_fault::read_file("checkpoint.read", path, "checkpoint read")?;
     if bytes.len() < 16 {
         return Err(corrupt(path, 0, "checkpoint shorter than its header"));
     }
@@ -409,7 +408,7 @@ impl DurableStore {
             });
         }
 
-        let data = failpoint::read_file("wal.read", &wal_path, "wal recovery")?;
+        let data = perm_fault::read_file("wal.read", &wal_path, "wal recovery")?;
         let s = scan(&data);
 
         // A missing/torn header can only come from a crash while the log
@@ -537,12 +536,12 @@ impl DurableStore {
         let dest = self.dir.join(CHECKPOINT_FILE);
         let write = (|| {
             let mut f = File::create(&tmp).map_err(|e| io("checkpoint create", &tmp, e))?;
-            failpoint::write_all("checkpoint.write", &mut f, &bytes, "checkpoint", &tmp)?;
-            failpoint::sync("checkpoint.sync", &f, "checkpoint", &tmp)?;
-            failpoint::rename("checkpoint.rename", &tmp, &dest, "checkpoint")?;
+            perm_fault::write_all("checkpoint.write", &mut f, &bytes, "checkpoint", &tmp)?;
+            perm_fault::sync("checkpoint.sync", &f, "checkpoint", &tmp)?;
+            perm_fault::rename("checkpoint.rename", &tmp, &dest, "checkpoint")?;
             let dirf =
                 File::open(&self.dir).map_err(|e| io("checkpoint dir open", &self.dir, e))?;
-            failpoint::sync("checkpoint.dir_sync", &dirf, "checkpoint", &self.dir)
+            perm_fault::sync("checkpoint.dir_sync", &dirf, "checkpoint", &self.dir)
         })();
         match write {
             Ok(()) => {

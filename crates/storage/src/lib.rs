@@ -25,8 +25,10 @@
 //!   write-ahead log of committed statements, snapshot checkpoints of
 //!   the catalog (atomic rename + log truncation), and crash recovery
 //!   that replays the log tail and truncates torn final records.
-//! * [`failpoint`]: deterministic fault injection (`PERM_FAILPOINTS`)
-//!   every write/fsync/rename/read in the above goes through.
+//!
+//! Every write/fsync/rename/read in the above goes through the
+//! deterministic fault-injection wrappers of [`perm_fault`]
+//! (`PERM_FAILPOINTS`).
 //!
 //! For concurrent servers, [`shared::SharedCatalog`] wraps a [`Catalog`]
 //! in copy-on-write snapshots behind a reader/writer lock: readers plan
@@ -37,7 +39,6 @@
 
 pub mod catalog;
 pub mod durable;
-pub mod failpoint;
 pub mod index;
 pub mod shared;
 pub mod spill;

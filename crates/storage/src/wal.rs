@@ -32,7 +32,7 @@
 //! statement); a bad record with valid data after it is real corruption
 //! and is surfaced as such, never silently dropped.
 //!
-//! All file I/O goes through the [`crate::failpoint`] wrappers; `xtask
+//! All file I/O goes through the [`perm_fault`] wrappers; `xtask
 //! lint` enforces that no raw write/sync/rename/truncate calls appear in
 //! this module.
 
@@ -40,8 +40,6 @@ use std::fs::{File, OpenOptions};
 use std::path::{Path, PathBuf};
 
 use perm_types::{PermError, Result};
-
-use crate::failpoint;
 
 /// Magic bytes opening every WAL file (version 1).
 pub const WAL_MAGIC: &[u8; 8] = b"PERMWAL1";
@@ -351,7 +349,7 @@ impl WalWriter {
         fsync: FsyncPolicy,
     ) -> Result<WalWriter> {
         let file = Self::open_file(path)?;
-        failpoint::set_len("wal.open.truncate", &file, valid_len, "wal recovery", path)?;
+        perm_fault::set_len("wal.open.truncate", &file, valid_len, "wal recovery", path)?;
         Ok(WalWriter {
             file,
             path: path.to_path_buf(),
@@ -364,19 +362,19 @@ impl WalWriter {
     }
 
     fn write_header(&mut self, epoch: u64) -> Result<()> {
-        failpoint::set_len("wal.reset", &self.file, 0, "wal reset", &self.path)?;
+        perm_fault::set_len("wal.reset", &self.file, 0, "wal reset", &self.path)?;
         self.len = 0;
         let mut header = Vec::with_capacity(WAL_HEADER_LEN as usize);
         header.extend_from_slice(WAL_MAGIC);
         header.extend_from_slice(&epoch.to_le_bytes());
-        failpoint::write_all(
+        perm_fault::write_all(
             "wal.reset.write",
             &mut self.file,
             &header,
             "wal reset",
             &self.path,
         )?;
-        failpoint::sync("wal.reset.sync", &self.file, "wal reset", &self.path)?;
+        perm_fault::sync("wal.reset.sync", &self.file, "wal reset", &self.path)?;
         self.len = WAL_HEADER_LEN;
         self.epoch = epoch;
         self.records_since_reset = 0;
@@ -399,10 +397,10 @@ impl WalWriter {
         let frame = encode_frame(rec);
         let pre_len = self.len;
         let result =
-            failpoint::write_all("wal.append.write", &mut self.file, &frame, OP, &self.path)
+            perm_fault::write_all("wal.append.write", &mut self.file, &frame, OP, &self.path)
                 .and_then(|()| match self.fsync {
                     FsyncPolicy::Always => {
-                        failpoint::sync("wal.append.sync", &self.file, OP, &self.path)
+                        perm_fault::sync("wal.append.sync", &self.file, OP, &self.path)
                     }
                     FsyncPolicy::Never => Ok(()),
                 });
@@ -413,7 +411,7 @@ impl WalWriter {
                 Ok(())
             }
             Err(e) => {
-                if failpoint::set_len("wal.rollback", &self.file, pre_len, OP, &self.path).is_err()
+                if perm_fault::set_len("wal.rollback", &self.file, pre_len, OP, &self.path).is_err()
                 {
                     self.poisoned = true;
                 }

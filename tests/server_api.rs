@@ -229,6 +229,121 @@ fn row_stream_limit_pulls_only_k_rows_from_the_scan() {
     assert_eq!(streamed, materialized);
 }
 
+/// A server with `big(x int)`: `rows` rows, `x = i + 1` except row
+/// `zero_at`, which has `x = 0`.
+fn big_with_a_zero(rows: i64, zero_at: i64) -> PermServer {
+    let server = PermServer::new();
+    let session = server.session();
+    session.execute("CREATE TABLE big (x int)").unwrap();
+    let mut cat = session.catalog_write();
+    let t = cat.table_mut("big").unwrap();
+    for i in 0..rows {
+        let x = if i == zero_at { 0 } else { i + 1 };
+        t.push_raw(Tuple::new(vec![Value::Int(x)]));
+    }
+    drop(cat);
+    server
+}
+
+#[test]
+fn query_and_query_stream_both_stop_at_the_limit_before_a_later_error() {
+    let server = big_with_a_zero(1_000, 500);
+    let session = server.session();
+    let sql = "SELECT 10 / x FROM big LIMIT 3";
+    let materialized = session.query(sql).unwrap();
+    let streamed = session.query_stream(sql).unwrap().collect_result().unwrap();
+    assert_eq!(materialized.rows.len(), 3);
+    assert_eq!(streamed, materialized);
+    assert_eq!(materialized.rows[0].values(), &[Value::Int(10)]);
+
+    // Without the limit both reach row 500 and fail alike.
+    let sql = "SELECT 10 / x FROM big";
+    let materialized = session.query(sql).unwrap_err();
+    let streamed = session
+        .query_stream(sql)
+        .unwrap()
+        .collect_result()
+        .unwrap_err();
+    assert!(
+        materialized.to_string().contains("division by zero"),
+        "{materialized}"
+    );
+    assert_eq!(streamed.to_string(), materialized.to_string());
+
+    // Over a parallel scan too, where the failing row shares a morsel
+    // with rows the limit needs.
+    let server = big_with_a_zero(10_000, 2_500);
+    let session = server.session_with_options(parallel_options());
+    let sql = "SELECT 10 / x FROM big LIMIT 2100";
+    let plan = session.query(&format!("EXPLAIN {sql}")).unwrap().to_table();
+    assert!(plan.contains("dop="), "{plan}");
+    let materialized = session.query(sql).unwrap();
+    let streamed = session.query_stream(sql).unwrap().collect_result().unwrap();
+    assert_eq!(materialized.rows.len(), 2100);
+    assert_eq!(streamed, materialized);
+}
+
+#[test]
+fn limit_zero_offset_streams_without_scanning() {
+    let server = big_with_a_zero(1_000, 500);
+    let session = server.session();
+    let mut stream = session
+        .query_stream("SELECT x FROM big LIMIT 0 OFFSET 500")
+        .unwrap();
+    assert!(stream.next().is_none());
+    assert_eq!(stream.rows_scanned(), 0);
+    assert!(session
+        .query("SELECT x FROM big LIMIT 0 OFFSET 500")
+        .unwrap()
+        .is_empty());
+}
+
+#[test]
+fn streamed_limit_reads_only_the_rows_pulled() {
+    let server = big_with_a_zero(10_000, 9_500);
+    let session = server.session();
+    let mut stream = session
+        .query_stream("SELECT x + 1 FROM big LIMIT 9000")
+        .unwrap();
+    assert_eq!(stream.next().unwrap().unwrap().values(), &[Value::Int(2)]);
+    assert!(
+        stream.rows_scanned() <= 1,
+        "one row of LIMIT 9000 pulled {} scan rows",
+        stream.rows_scanned()
+    );
+    assert_eq!(stream.by_ref().count(), 8_999);
+    assert_eq!(stream.rows_scanned(), 9_000);
+
+    // An offset is read once, on the first pull.
+    let mut stream = session
+        .query_stream("SELECT x + 1 FROM big LIMIT 9000 OFFSET 100")
+        .unwrap();
+    assert_eq!(stream.next().unwrap().unwrap().values(), &[Value::Int(102)]);
+    assert!(stream.rows_scanned() <= 101, "{}", stream.rows_scanned());
+}
+
+#[test]
+fn limit_zero_never_runs_the_sort() {
+    let server = big_with_a_zero(1_000, 500);
+    let session = server.session();
+    let result = session
+        .query("SELECT x FROM big ORDER BY x LIMIT 0")
+        .unwrap();
+    assert!(result.is_empty());
+    // The sort would buffer (and charge the pool for) all 1000 rows.
+    assert_eq!(server.memory_pool().peak(), 0, "the sort ran");
+    // A sort key that fails on row 500 shows the same: the key is never
+    // evaluated.
+    let result = session
+        .query("SELECT x FROM big ORDER BY 10 / x LIMIT 0")
+        .unwrap();
+    assert!(result.is_empty());
+    let err = session
+        .query("SELECT x FROM big ORDER BY 10 / x LIMIT 1")
+        .unwrap_err();
+    assert!(err.to_string().contains("division by zero"), "{err}");
+}
+
 #[test]
 fn sessions_carry_independent_options() {
     use perm::rewrite::ContributionSemantics;

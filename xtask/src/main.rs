@@ -9,9 +9,9 @@
 //!    down; hot paths must return `Result` or justify with `.expect`.
 //! 2. **`.expect(` in hot-path files needs an `// INVARIANT:` comment**
 //!    (same or preceding line) stating why the failure is impossible.
-//! 3. **No thread spawns outside `parallel.rs` / `stream.rs`** — every
-//!    worker thread must go through the morsel pool or the stream
-//!    prefetcher so shutdown and panic propagation stay centralized.
+//! 3. **No thread spawns outside `parallel.rs`** — every worker thread
+//!    is a morsel-pool worker or a morsel-exchange producer, so shutdown
+//!    and panic propagation stay centralized.
 //! 4. **No `Rc` in Send-exposed crates** (`types`, `storage`, `exec`,
 //!    `core`) — their types cross threads; a stray `Rc` makes a struct
 //!    silently `!Send` far from where it is embedded.
@@ -31,7 +31,7 @@
 //!    protocol and the spill accounting.
 //! 9. **No raw file I/O in the durability modules** — every write, sync,
 //!    rename and truncate in `wal.rs`/`durable.rs` must go through the
-//!    `failpoint::` wrappers so each durability write site carries a
+//!    `perm_fault::` wrappers so each durability write site carries a
 //!    named failpoint and stays covered by the crash-recovery matrix.
 //! 10. **No per-row `Vec`/`Arc` allocation inside kernel hot loops** —
 //!     the whole point of the batch kernels (`kernels.rs`) is to amortize
@@ -45,8 +45,9 @@
 //!     cooperative cancellation check** (`check_cancelled` or `.check()`)
 //!     or justify its absence with a `// no-cancel:` comment on the same
 //!     or the preceding line of the loop header. The files are the ones
-//!     whose loops can run long — the morsel pool, the stream/exchange
-//!     pipeline, and the operator build/probe/spill paths — where a
+//!     whose loops can run long — the morsel pool and exchange, the
+//!     execution pipeline and its row cursor, and the operator
+//!     build/probe/spill paths — where a
 //!     missed check turns "cancel" into "hang until the query finishes".
 //!     A check inside a nested loop satisfies the enclosing loops (the
 //!     inner body is on the outer loop's path), but an outer check never
@@ -93,8 +94,9 @@ const KERNEL_LOOP_ALLOCS: &[&str] = &[
     ".collect(",
 ];
 
-/// The only modules allowed to start worker threads (rule 3).
-const SPAWN_ALLOWED: &[&str] = &["crates/exec/src/parallel.rs", "crates/exec/src/stream.rs"];
+/// The only modules allowed to start worker threads (rule 3): the
+/// worker pool and the morsel exchange's dedicated producers.
+const SPAWN_ALLOWED: &[&str] = &["crates/exec/src/parallel.rs"];
 
 /// Crates whose types are exposed across threads (rule 4).
 const SEND_EXPOSED: &[&str] = &[
@@ -120,15 +122,16 @@ const STORAGE_FILE_CREATION_ALLOWED: &[&str] = &[
     "crates/storage/src/durable.rs",
 ];
 
-/// Durability modules whose file I/O must go through the `failpoint::`
+/// Durability modules whose file I/O must go through the `perm_fault::`
 /// wrappers (rule 9), so every write site has a named failpoint.
 const FAILPOINT_WRAPPED: &[&str] = &["crates/storage/src/wal.rs", "crates/storage/src/durable.rs"];
 
 /// Files whose loops must carry a cooperative cancellation check
-/// (rule 11): the morsel pool, the stream/exchange pipeline, and the
-/// operator build/probe/spill paths.
+/// (rule 11): the morsel pool and exchange, the execution pipeline and
+/// its row cursor, and the operator build/probe/spill paths.
 const CANCEL_CHECK_FILES: &[&str] = &[
     "crates/exec/src/parallel.rs",
+    "crates/exec/src/pipeline.rs",
     "crates/exec/src/stream.rs",
     "crates/exec/src/operators/",
 ];
@@ -139,7 +142,7 @@ const CANCEL_CHECKS: &[&str] = &["check_cancelled", ".check()"];
 
 /// Raw I/O calls that rule 9 bans in the durability modules. The
 /// leading `.` (or `fs::` path) distinguishes a raw method call from
-/// the sanctioned `failpoint::write_all(...)`-style wrappers.
+/// the sanctioned `perm_fault::write_all(...)`-style wrappers.
 const RAW_DURABLE_IO: &[&str] = &[
     ".write_all(",
     ".sync_all(",
@@ -430,7 +433,7 @@ fn lint_file(rel: &str, source: &str, findings: &mut Vec<Finding>) {
                             "durable-io-needs-failpoint",
                             format!(
                                 "raw `{pat}..)` in a durability module; use the matching \
-                                 `failpoint::` wrapper so the write site has a named failpoint"
+                                 `perm_fault::` wrapper so the write site has a named failpoint"
                             ),
                         );
                     }
@@ -441,7 +444,7 @@ fn lint_file(rel: &str, source: &str, findings: &mut Vec<Finding>) {
             if !spawn_ok && (code.contains("thread::spawn") || code.contains("thread::Builder")) {
                 report(
                     "spawn-outside-parallel",
-                    "thread spawn outside parallel.rs/stream.rs; route workers through the \
+                    "thread spawn outside parallel.rs; route workers through the \
                      morsel pool"
                         .into(),
                 );
@@ -701,14 +704,16 @@ mod tests {
     }
 
     #[test]
-    fn spawn_only_in_parallel_and_stream() {
+    fn spawn_only_in_parallel() {
         let src = "fn f() { std::thread::spawn(|| {}); }\n";
-        assert_eq!(
-            run("crates/exec/src/executor.rs", src),
-            ["spawn-outside-parallel"]
-        );
+        for file in ["executor.rs", "pipeline.rs", "stream.rs"] {
+            assert_eq!(
+                run(&format!("crates/exec/src/{file}"), src),
+                ["spawn-outside-parallel"],
+                "{file}"
+            );
+        }
         assert!(run("crates/exec/src/parallel.rs", src).is_empty());
-        assert!(run("crates/exec/src/stream.rs", src).is_empty());
         let builder = "fn f() { thread::Builder::new(); }\n";
         assert_eq!(
             run("crates/core/src/server.rs", builder),
@@ -811,12 +816,12 @@ mod tests {
             ["durable-io-needs-failpoint"]
         );
         // The failpoint wrappers themselves are the sanctioned call shape.
-        let wrapped = "fn f(file: &mut File) { failpoint::write_all(\"wal.append.write\", \
+        let wrapped = "fn f(file: &mut File) { perm_fault::write_all(\"wal.append.write\", \
                        file, b\"x\", \"wal\", path) }\n";
         assert!(run("crates/storage/src/wal.rs", wrapped).is_empty());
-        // failpoint.rs holds the raw calls by design; spill.rs has its
+        // perm-fault holds the raw calls by design; spill.rs has its
         // own error mapping — neither is in scope for rule 9.
-        assert!(run("crates/storage/src/failpoint.rs", raw).is_empty());
+        assert!(run("crates/fault/src/lib.rs", raw).is_empty());
         assert!(run("crates/storage/src/spill.rs", raw).is_empty());
     }
 
@@ -883,6 +888,14 @@ mod tests {
         assert!(run("crates/exec/src/operators/join.rs", checked).is_empty());
         let ctx_checked = "fn f() {\n  loop {\n    ctx.check()?;\n    step();\n  }\n}\n";
         assert!(run("crates/exec/src/parallel.rs", ctx_checked).is_empty());
+        // The execution pipeline and its row cursor are covered too.
+        for file in ["parallel.rs", "pipeline.rs", "stream.rs"] {
+            assert_eq!(
+                run(&format!("crates/exec/src/{file}"), bad),
+                ["loop-needs-cancel-check"],
+                "{file}"
+            );
+        }
     }
 
     #[test]
